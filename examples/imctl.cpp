@@ -54,7 +54,7 @@
  *       oracle. Output is byte-identical at any --threads setting;
  *       --timing appends wall-clock decision latencies (the one
  *       non-deterministic section). --execute additionally runs the
- *       admitted apps on the scaled sim engine (attach/detach).
+ *       admitted apps on the sim engine (attach/detach).
  *
  * Observability (all subcommands): --metrics prints an imc::obs
  * counter/gauge/histogram dump to stdout at exit; --metrics-out FILE

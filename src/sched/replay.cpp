@@ -24,13 +24,11 @@ struct ExecApp {
     std::vector<sim::NodeId> nodes;
 };
 
-/** Execute-mode world: the scaled simulation plus attached apps. */
+/** Execute-mode world: the simulation plus attached apps. */
 class Executor {
   public:
     Executor(const Trace& trace, std::uint64_t seed)
-        : sim_(sim::ClusterSpec::scaled(trace.num_nodes),
-               sim::SimOptions{sim::EngineMode::kScaled}),
-          rng_(seed)
+        : sim_(sim::ClusterSpec::scaled(trace.num_nodes)), rng_(seed)
     {
         for (const auto& e : trace.events)
             require(e.kind != EventKind::kJoin,

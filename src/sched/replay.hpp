@@ -10,7 +10,7 @@
  * event to the core in order, tracks decision statistics, optionally
  * compares the incrementally maintained placement against a periodic
  * batch re-anneal oracle over the surviving apps, and optionally
- * *executes* the maintained placement on the scaled sim engine
+ * *executes* the maintained placement on the sim engine
  * (attach on admit, detach on depart/evict, re-attach on migration).
  *
  * Everything in ReplayResult except `latencies_ms`, `exec_sim_time`
@@ -46,7 +46,7 @@ struct ReplayOptions {
     /** Seed of the oracle anneals. */
     std::uint64_t oracle_seed = 99;
     /**
-     * Also execute the maintained placement on a kScaled simulation:
+     * Also execute the maintained placement on a simulation:
      * admitted apps launch (restarting) on their assigned nodes,
      * departures and evictions detach mid-flight, crashes kill the
      * sim node, and apps whose node set changed are re-attached at

@@ -8,20 +8,7 @@
 
 namespace imc::sim {
 
-namespace {
-
-std::unique_ptr<EventQueueBase>
-make_queue(EngineMode mode)
-{
-    if (mode == EngineMode::kSeed)
-        return std::make_unique<HeapEventQueue>();
-    return std::make_unique<EventQueue>();
-}
-
-} // namespace
-
-Simulation::Simulation(ClusterSpec spec, SimOptions opts)
-    : spec_(std::move(spec)), opts_(opts), queue_(make_queue(opts.mode))
+Simulation::Simulation(ClusterSpec spec) : spec_(std::move(spec))
 {
     require(spec_.num_nodes > 0, "Simulation: cluster needs >= 1 node");
     const auto n = static_cast<std::size_t>(spec_.num_nodes);
@@ -35,13 +22,7 @@ EventId
 Simulation::schedule(double dt, Callback cb)
 {
     require(dt >= 0.0, "Simulation::schedule: negative delay");
-    return queue_->schedule_at(now() + dt, std::move(cb));
-}
-
-void
-Simulation::cancel(EventId id)
-{
-    queue_->cancel(id);
+    return queue_.schedule_at(now() + dt, std::move(cb));
 }
 
 TenantId
@@ -135,9 +116,9 @@ Simulation::add_proc(TenantId t)
     proc_last_update_.push_back(0.0);
     proc_event_.push_back(0);
     proc_done_.emplace_back();
-    // Appended in ascending ProcId order: the node list then matches
-    // the seed engine's global ascending-pid scan order exactly, so
-    // reschedules produce identical event sequences.
+    // Appended in ascending ProcId order: a re-solve reschedules the
+    // node's procs in ascending-pid order, which fixes the seq order
+    // of their re-rated completions.
     node_procs_[static_cast<std::size_t>(tenant_node_[ti])].push_back(id);
     return id;
 }
@@ -158,7 +139,8 @@ Simulation::compute(ProcId pid, double work, Callback done)
     proc_last_update_[pi] = now();
     proc_done_[pi] = std::move(done);
     ++stats_.computes;
-    schedule_completion(pid);
+    proc_event_[pi] =
+        schedule(completion_delay(pi), [this, pid] { complete(pid); });
 }
 
 bool
@@ -180,7 +162,7 @@ Simulation::abort_proc(ProcId pid)
     // accounting, cancel the completion, drop the callback — the
     // in-flight work is abandoned, not finished.
     settle(pi);
-    queue_->cancel(proc_event_[pi]);
+    queue_.cancel(proc_event_[pi]);
     proc_busy_[pi] = 0;
     proc_remaining_[pi] = 0.0;
     proc_done_[pi] = nullptr;
@@ -244,7 +226,7 @@ Simulation::crash_node(NodeId node)
         if (!proc_busy_[pi])
             continue;
         settle(pi);
-        queue_->cancel(proc_event_[pi]);
+        queue_.cancel(proc_event_[pi]);
         proc_busy_[pi] = 0;
         proc_remaining_[pi] = 0.0;
         proc_done_[pi] = nullptr;
@@ -269,18 +251,18 @@ Simulation::node_crashed(NodeId node) const
 void
 Simulation::run(std::uint64_t max_events)
 {
-    const std::uint64_t start = queue_->executed();
+    const std::uint64_t start = queue_.executed();
     const SimStats stats_before = stats_;
     (void)stats_before; // consumed only by the obs block below
-    while (queue_->pop_and_run()) {
-        invariant(queue_->executed() - start <= max_events,
+    while (queue_.pop_and_run()) {
+        invariant(queue_.executed() - start <= max_events,
                   "Simulation::run: event budget exceeded (runaway?)");
     }
     // Aggregate deltas once per run() — the per-event loop above stays
     // untouched so the hot path costs nothing when obs is off.
     if (IMC_OBS_ENABLED()) {
         IMC_OBS_COUNT("sim.runs");
-        IMC_OBS_COUNT("sim.events", queue_->executed() - start);
+        IMC_OBS_COUNT("sim.events", queue_.executed() - start);
         IMC_OBS_COUNT("sim.contention_solves",
                    static_cast<std::uint64_t>(
                        stats_.contention_solves -
@@ -298,7 +280,7 @@ Simulation::run(std::uint64_t max_events)
 bool
 Simulation::step()
 {
-    return queue_->pop_and_run();
+    return queue_.pop_and_run();
 }
 
 void
@@ -320,16 +302,6 @@ Simulation::refresh_node(NodeId node)
 void
 Simulation::resolve_node(NodeId node)
 {
-    if (opts_.mode == EngineMode::kSeed) {
-        resolve_node_seed(node);
-        return;
-    }
-    resolve_node_scaled(node);
-}
-
-void
-Simulation::resolve_node_scaled(NodeId node)
-{
     const auto ni = static_cast<std::size_t>(node);
     const auto& ids = node_tenants_[ni];
 
@@ -345,8 +317,8 @@ Simulation::resolve_node_scaled(NodeId node)
     }
 
     // Settle and reschedule the node's busy procs — and only the
-    // node's: the per-node index list replaces the seed engine's scan
-    // of every proc in the cluster.
+    // node's: the per-node index list spares a scan of every proc in
+    // the cluster.
     for (const ProcId pid : node_procs_[ni]) {
         const auto pi = static_cast<std::size_t>(pid);
         if (!proc_busy_[pi])
@@ -354,35 +326,6 @@ Simulation::resolve_node_scaled(NodeId node)
         reschedule_proc(
             pi,
             tenant_slowdown_[static_cast<std::size_t>(proc_tenant_[pi])]);
-    }
-}
-
-void
-Simulation::resolve_node_seed(NodeId node)
-{
-    const auto ni = static_cast<std::size_t>(node);
-    const auto& ids = node_tenants_[ni];
-    std::vector<TenantDemand> demands;
-    demands.reserve(ids.size());
-    for (const TenantId t : ids)
-        demands.push_back(tenant_demand_[static_cast<std::size_t>(t)]);
-
-    ++stats_.contention_solves;
-    const auto results = solve_contention(spec_.node, demands);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        tenant_slowdown_[static_cast<std::size_t>(ids[i])] =
-            results[i].slowdown;
-    }
-
-    // The seed hot path: scan every proc in the cluster for the few
-    // that live on this node — O(cluster) per re-solve.
-    for (std::size_t pi = 0; pi < proc_tenant_.size(); ++pi) {
-        if (!proc_busy_[pi])
-            continue;
-        const auto ti = static_cast<std::size_t>(proc_tenant_[pi]);
-        if (tenant_node_[ti] != node)
-            continue;
-        reschedule_proc(pi, tenant_slowdown_[ti]);
     }
 }
 
@@ -400,19 +343,17 @@ Simulation::reschedule_proc(std::size_t pid, double slowdown)
 {
     settle(pid);
     proc_rate_[pid] = 1.0 / slowdown;
-    queue_->cancel(proc_event_[pid]);
     ++stats_.proc_reschedules;
-    schedule_completion(static_cast<ProcId>(pid));
+    const bool pending = queue_.reschedule(
+        proc_event_[pid], now() + completion_delay(pid));
+    invariant(pending, "reschedule_proc: busy proc has no completion");
 }
 
-void
-Simulation::schedule_completion(ProcId pid)
+double
+Simulation::completion_delay(std::size_t pid) const
 {
-    const auto pi = static_cast<std::size_t>(pid);
-    invariant(proc_rate_[pi] > 0.0,
-              "schedule_completion: nonpositive rate");
-    const double dt = proc_remaining_[pi] / proc_rate_[pi];
-    proc_event_[pi] = schedule(dt, [this, pid] { complete(pid); });
+    invariant(proc_rate_[pid] > 0.0, "completion_delay: nonpositive rate");
+    return proc_remaining_[pid] / proc_rate_[pid];
 }
 
 void
@@ -434,7 +375,7 @@ Simulation::complete(ProcId pid)
 std::size_t
 Simulation::approx_bytes() const
 {
-    std::size_t bytes = queue_->approx_bytes() + solver_.approx_bytes();
+    std::size_t bytes = queue_.approx_bytes() + solver_.approx_bytes();
     bytes += crashed_.capacity() * sizeof(char);
     bytes += node_dirty_.capacity() * sizeof(char);
     bytes += dirty_nodes_.capacity() * sizeof(NodeId);

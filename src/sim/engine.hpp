@@ -21,17 +21,15 @@
  * node-local. Tenant and proc state live in struct-of-arrays so a
  * re-solve streams over contiguous memory; per-node tenant and proc
  * index lists make each re-solve O(node population) instead of
- * O(cluster); the calendar event queue keeps push/pop amortized O(1);
- * and a resolve *batch* (ResolveBatch) coalesces many mutations into
- * one re-solve per dirtied node. EngineMode::kSeed preserves the
- * original architecture (binary-heap queue, full proc scan per
- * re-solve, allocating solver) as the equivalence oracle and the
- * baseline bench/micro_scale measures against — both modes are
- * event-for-event identical (tests/test_scale.cpp).
+ * O(cluster); the indexed event queue moves a re-rated completion in
+ * place in O(log n); and a resolve *batch* (ResolveBatch) coalesces
+ * many mutations into one re-solve per dirtied node.
+ * tests/test_scale.cpp pins per-event traces of paper-shaped runs to
+ * recorded digests and property-checks the shortcuts (full re-solve
+ * == incremental, batched == eager).
  */
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/cluster.hpp"
@@ -55,23 +53,6 @@ struct SimStats {
     std::uint64_t batched_resolves = 0;
 };
 
-/** Which engine architecture a Simulation runs. */
-enum class EngineMode {
-    /** Calendar queue + SoA state + node-local re-solves (default). */
-    kScaled,
-    /**
-     * The seed architecture: binary-heap queue, a full scan of every
-     * proc per re-solve, and a fresh allocation per solve. Kept as
-     * the equivalence oracle and the micro_scale baseline.
-     */
-    kSeed,
-};
-
-/** Engine construction knobs. */
-struct SimOptions {
-    EngineMode mode = EngineMode::kScaled;
-};
-
 /**
  * A discrete-event simulation of one cluster.
  *
@@ -80,7 +61,7 @@ struct SimOptions {
 class Simulation {
   public:
     /** Build an idle cluster from a spec. */
-    explicit Simulation(ClusterSpec spec, SimOptions opts = {});
+    explicit Simulation(ClusterSpec spec);
 
     Simulation(const Simulation&) = delete;
     Simulation& operator=(const Simulation&) = delete;
@@ -88,11 +69,8 @@ class Simulation {
     /** The cluster configuration this simulation runs. */
     const ClusterSpec& spec() const { return spec_; }
 
-    /** The engine architecture this simulation runs. */
-    EngineMode mode() const { return opts_.mode; }
-
     /** Current simulation time in seconds. */
-    double now() const { return queue_->now(); }
+    double now() const { return queue_.now(); }
 
     /**
      * Schedule a callback after a relative delay.
@@ -100,9 +78,6 @@ class Simulation {
      * @param dt delay in seconds, >= 0
      */
     EventId schedule(double dt, Callback cb);
-
-    /** Cancel a pending event (no-op if already fired). */
-    void cancel(EventId id);
 
     // --- Tenants -------------------------------------------------------
 
@@ -224,7 +199,7 @@ class Simulation {
     bool step();
 
     /** Total events executed so far. */
-    std::uint64_t events_executed() const { return queue_->executed(); }
+    std::uint64_t events_executed() const { return queue_.executed(); }
 
     /** Engine activity counters. */
     const SimStats& stats() const { return stats_; }
@@ -240,13 +215,7 @@ class Simulation {
     /** Re-solve a node now, or mark it dirty inside a batch. */
     void refresh_node(NodeId node);
 
-    /** The node-local re-solve (scaled mode). */
-    void resolve_node_scaled(NodeId node);
-
-    /** The seed re-solve: allocating solve + full proc scan. */
-    void resolve_node_seed(NodeId node);
-
-    /** Dispatch to the mode's re-solve implementation. */
+    /** Re-solve a node's contention and re-rate its busy procs. */
     void resolve_node(NodeId node);
 
     /** Settle a busy proc's remaining work up to now(). */
@@ -255,17 +224,16 @@ class Simulation {
     /** Settle + re-rate + reschedule one busy proc of a node. */
     void reschedule_proc(std::size_t pid, double slowdown);
 
-    /** (Re)schedule a busy proc's completion event. */
-    void schedule_completion(ProcId pid);
+    /** Seconds until a busy proc's remaining work completes. */
+    double completion_delay(std::size_t pid) const;
 
     /** Fire a proc's completion. */
     void complete(ProcId pid);
 
     ClusterSpec spec_;
-    SimOptions opts_;
-    std::unique_ptr<EventQueueBase> queue_;
+    EventQueue queue_;
     SimStats stats_;
-    ContentionSolver solver_; // reusable SoA scratch (scaled mode)
+    ContentionSolver solver_; // reusable SoA scratch
 
     // Per-node state.
     std::vector<char> crashed_; // per-node crash flag

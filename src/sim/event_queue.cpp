@@ -1,8 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -11,272 +9,172 @@ namespace imc::sim {
 
 namespace {
 
-/** Smallest wheel; also the size the queue starts at. */
-constexpr std::size_t kMinBuckets = 8;
+/** Heap arity: half the depth of a binary heap. */
+constexpr std::size_t kArity = 4;
 
 /**
- * Bucket keys are clamped here. Events beyond the clamp share one
- * far bucket and still fire in correct (time, seq) order — the
- * direct-scan fallback orders by time, not key — the wheel just
- * stops helping for them.
+ * Times this far behind now() still count as now: computed completion
+ * times carry floating-point slack.
  */
-constexpr double kMaxKey = 4.0e18;
-
-/** Next power of two >= @p n, at least kMinBuckets. */
-std::size_t
-next_pow2(std::size_t n)
-{
-    std::size_t p = kMinBuckets;
-    while (p < n)
-        p *= 2;
-    return p;
-}
+constexpr double kPastSlack = 1e-12;
 
 } // namespace
 
-// ---------------------------------------------------------------------
-// EventQueueBase: shared scheduling / cancellation / run semantics.
-// ---------------------------------------------------------------------
-
 EventId
-EventQueueBase::schedule_at(double time, Callback cb)
+EventQueue::schedule_at(double time, Callback cb)
 {
-    require(time >= now_ - 1e-12,
+    require(time >= now_ - kPastSlack,
             "EventQueue: cannot schedule into the past");
     require(static_cast<bool>(cb), "EventQueue: null callback");
-    const EventId id = next_id_++;
-    live_.emplace(id, LiveEvent{std::move(cb), time});
-    push_entry(Entry{time, next_seq_++, id});
+    std::uint32_t slot = free_head_;
+    if (slot != kNone) {
+        free_head_ = slots_[slot].pos;
+    } else {
+        require(slots_.size() < kNone, "EventQueue: too many events");
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    Slot& s = slots_[slot];
+    s.cb = std::move(cb);
+    ++s.generation; // odd: live
+    const EventId id = (EventId{s.generation} << 32) | slot;
+    heap_.push_back(Entry{time, next_seq_++, slot});
+    sift_up(heap_.size() - 1);
     return id;
 }
 
 void
-EventQueueBase::cancel(EventId id)
+EventQueue::cancel(EventId id)
 {
-    const auto it = live_.find(id);
-    if (it == live_.end())
+    const std::uint32_t slot = live_slot(id);
+    if (slot == kNone)
         return; // already fired or cancelled: harmless no-op
-    erase_entry(id, it->second.time);
-    live_.erase(it);
-}
-
-void
-EventQueueBase::erase_entry(EventId, double)
-{
-    // Default: leave a tombstone for pop_min to skip.
+    erase_at(slots_[slot].pos);
+    release(slot);
 }
 
 bool
-EventQueueBase::pop_and_run()
+EventQueue::reschedule(EventId id, double time)
 {
-    if (live_.empty())
+    require(time >= now_ - kPastSlack,
+            "EventQueue: cannot schedule into the past");
+    const std::uint32_t slot = live_slot(id);
+    if (slot == kNone)
         return false;
-    const Entry e = pop_min();
-    const auto it = live_.find(e.id);
-    invariant(it != live_.end(), "EventQueue: pop_min returned a dead entry");
-    Callback cb = std::move(it->second.cb);
-    live_.erase(it);
-    invariant(e.time >= now_ - 1e-12, "EventQueue: time went backwards");
-    now_ = std::max(now_, e.time);
+    const std::size_t pos = slots_[slot].pos;
+    heap_[pos].time = time;
+    heap_[pos].seq = next_seq_++;
+    fix(pos);
+    return true;
+}
+
+bool
+EventQueue::pop_and_run()
+{
+    if (heap_.empty())
+        return false;
+    const Entry top = heap_.front();
+    erase_at(0);
+    Callback cb = std::move(slots_[top.slot].cb);
+    release(top.slot);
+    invariant(top.time >= now_ - kPastSlack,
+              "EventQueue: time went backwards");
+    now_ = std::max(now_, top.time);
     ++executed_;
     cb();
     return true;
 }
 
-// ---------------------------------------------------------------------
-// EventQueue: the calendar queue.
-// ---------------------------------------------------------------------
-
-EventQueue::EventQueue() : buckets_(kMinBuckets), mask_(kMinBuckets - 1)
-{
-}
-
-std::uint64_t
-EventQueue::key_of(double time) const
-{
-    const double q = time / width_;
-    if (!(q > 0.0))
-        return 0; // negative epsilon near t=0
-    if (q >= kMaxKey)
-        return static_cast<std::uint64_t>(kMaxKey);
-    return static_cast<std::uint64_t>(q);
-}
-
-void
-EventQueue::push_entry(const Entry& e)
-{
-    // Grow when the live population outruns the wheel; rebuilding
-    // also re-tunes the width to the new density.
-    if (live_.size() > 2 * buckets_.size())
-        rebuild(next_pow2(live_.size()));
-
-    const std::uint64_t key = key_of(e.time);
-    buckets_[static_cast<std::size_t>(key) & mask_].push_back(
-        Slot{e.time, e.seq, e.id, key});
-    // An arrival behind the cursor (possible right after the cursor
-    // jumped forward via pop_direct) re-aims it; schedule_at already
-    // guarantees e.time >= now(), so nothing due is ever skipped.
-    if (key < cur_key_)
-        cur_key_ = key;
-}
-
-void
-EventQueue::erase_entry(EventId id, double time)
-{
-    // key_of(time) recomputes the stored key exactly: rebuilds re-key
-    // every slot at the current width, so slot.key is always
-    // key_of(slot.time) under the live width.
-    const std::uint64_t key = key_of(time);
-    auto& bucket = buckets_[static_cast<std::size_t>(key) & mask_];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].id != id)
-            continue;
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        return;
-    }
-    invariant(false, "EventQueue: cancelled entry missing from wheel");
-}
-
-EventQueueBase::Entry
-EventQueue::pop_min()
-{
-    // Shrink lazily, amortized against pops, once the wheel has gone
-    // an order of magnitude sparser than its bucket count.
-    if (buckets_.size() > kMinBuckets &&
-        live_.size() * 8 < buckets_.size())
-        rebuild(next_pow2(live_.size()));
-
-    // Walk the wheel at most one full lap from the cursor. Every
-    // stored slot is live (cancel erases eagerly), so this touches
-    // only real events.
-    for (std::size_t lap = 0; lap <= mask_; ++lap) {
-        auto& bucket = buckets_[static_cast<std::size_t>(cur_key_) & mask_];
-        std::size_t best = bucket.size();
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (bucket[i].key != cur_key_)
-                continue; // same bucket, a later lap of the wheel
-            if (best == bucket.size() ||
-                bucket[i].time < bucket[best].time ||
-                (bucket[i].time == bucket[best].time &&
-                 bucket[i].seq < bucket[best].seq))
-                best = i;
-        }
-        if (best != bucket.size()) {
-            const Entry out{bucket[best].time, bucket[best].seq,
-                            bucket[best].id};
-            bucket[best] = bucket.back();
-            bucket.pop_back();
-            return out;
-        }
-        ++cur_key_; // this key's window is empty: advance the cursor
-    }
-    // A whole lap was empty: the next event is over a wheel-span
-    // away (or sits in the clamped far bucket). Find it directly.
-    return pop_direct();
-}
-
-EventQueueBase::Entry
-EventQueue::pop_direct()
-{
-    const Slot* min = nullptr;
-    for (const auto& bucket : buckets_) {
-        for (const Slot& s : bucket) {
-            if (min == nullptr || s.time < min->time ||
-                (s.time == min->time && s.seq < min->seq))
-                min = &s;
-        }
-    }
-    invariant(min != nullptr, "EventQueue: live set and wheel disagree");
-    const Entry out{min->time, min->seq, min->id};
-    cur_key_ = min->key; // re-aim: neighbours of the min are near it
-    auto& bucket = buckets_[static_cast<std::size_t>(min->key) & mask_];
-    const auto idx = static_cast<std::size_t>(min - bucket.data());
-    bucket[idx] = bucket.back();
-    bucket.pop_back();
-    return out;
-}
-
-void
-EventQueue::rebuild(std::size_t nbuckets)
-{
-    ++rebuilds_;
-    std::vector<Slot> alive;
-    alive.reserve(live_.size());
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (auto& bucket : buckets_) {
-        for (const Slot& s : bucket) {
-            alive.push_back(s);
-            lo = std::min(lo, s.time);
-            hi = std::max(hi, s.time);
-        }
-    }
-
-    // Width ~ live span / live count puts about one event per bucket.
-    // The floor keeps bucket keys small enough to stay exact in a
-    // double and clear of the clamp even for large absolute times.
-    double width = 1.0;
-    if (alive.size() >= 2 && hi > lo)
-        width = (hi - lo) / static_cast<double>(alive.size());
-    width = std::max(width, std::max(std::fabs(hi), 1.0) * 1e-9);
-    width_ = width;
-
-    buckets_.assign(nbuckets, {});
-    mask_ = nbuckets - 1;
-    cur_key_ = alive.empty() ? key_of(now()) : key_of(lo);
-    for (Slot& s : alive) {
-        s.key = key_of(s.time);
-        buckets_[static_cast<std::size_t>(s.key) & mask_].push_back(s);
-    }
-}
-
 std::size_t
 EventQueue::approx_bytes() const
 {
-    std::size_t bytes = buckets_.capacity() * sizeof(buckets_.front());
-    for (const auto& bucket : buckets_)
-        bytes += bucket.capacity() * sizeof(Slot);
-    // The live_ map: one node (entry + hash link) per element plus
-    // the bucket array, estimated at libstdc++'s layout.
-    bytes += live_.size() *
-             (sizeof(std::pair<EventId, LiveEvent>) + 2 * sizeof(void*));
-    bytes += live_.bucket_count() * sizeof(void*);
-    return bytes;
+    return slots_.capacity() * sizeof(Slot) +
+           heap_.capacity() * sizeof(Entry);
 }
 
-// ---------------------------------------------------------------------
-// HeapEventQueue: the seed binary heap.
-// ---------------------------------------------------------------------
+std::uint32_t
+EventQueue::live_slot(EventId id) const
+{
+    const auto slot = static_cast<std::uint32_t>(id);
+    const auto generation = static_cast<std::uint32_t>(id >> 32);
+    if (slot >= slots_.size() || generation % 2 == 0 ||
+        slots_[slot].generation != generation)
+        return kNone;
+    return slot;
+}
 
 void
-HeapEventQueue::push_entry(const Entry& e)
+EventQueue::release(std::uint32_t slot)
 {
-    heap_.push(HeapEntry{e.time, e.seq, e.id});
+    Slot& s = slots_[slot];
+    s.cb = nullptr;
+    ++s.generation; // even: free
+    s.pos = free_head_;
+    free_head_ = slot;
 }
 
-EventQueueBase::Entry
-HeapEventQueue::pop_min()
+void
+EventQueue::erase_at(std::size_t pos)
 {
-    while (!heap_.empty()) {
-        const HeapEntry e = heap_.top();
-        heap_.pop();
-        if (is_live(e.id))
-            return Entry{e.time, e.seq, e.id};
-        // cancelled; skip the tombstone
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size())
+        return; // the erased entry was the last one
+    place(pos, last);
+    fix(pos);
+}
+
+void
+EventQueue::fix(std::size_t pos)
+{
+    if (pos > 0 && heap_[pos] < heap_[(pos - 1) / kArity])
+        sift_up(pos);
+    else
+        sift_down(pos);
+}
+
+void
+EventQueue::sift_up(std::size_t pos)
+{
+    const Entry e = heap_[pos];
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / kArity;
+        if (!(e < heap_[parent]))
+            break;
+        place(pos, heap_[parent]);
+        pos = parent;
     }
-    invariant(false, "HeapEventQueue: live set and heap disagree");
-    return Entry{}; // unreachable
+    place(pos, e);
 }
 
-std::size_t
-HeapEventQueue::approx_bytes() const
+void
+EventQueue::sift_down(std::size_t pos)
 {
-    std::size_t bytes = heap_.size() * sizeof(HeapEntry);
-    bytes += live_.size() *
-             (sizeof(std::pair<EventId, LiveEvent>) + 2 * sizeof(void*));
-    bytes += live_.bucket_count() * sizeof(void*);
-    return bytes;
+    const Entry e = heap_[pos];
+    const std::size_t n = heap_.size();
+    for (;;) {
+        const std::size_t first = pos * kArity + 1;
+        if (first >= n)
+            break;
+        const std::size_t end = std::min(first + kArity, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (heap_[c] < heap_[best])
+                best = c;
+        }
+        if (!(heap_[best] < e))
+            break;
+        place(pos, heap_[best]);
+        pos = best;
+    }
+    place(pos, e);
+}
+
+void
+EventQueue::place(std::size_t pos, const Entry& e)
+{
+    heap_[pos] = e;
+    slots_[e.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
 } // namespace imc::sim

@@ -22,8 +22,8 @@
  * clock, draws randomness, or feeds back into the simulation — so a
  * run with capture on is event-for-event identical to one with it
  * off, and the captured bytes are identical across RunService thread
- * counts and the kSeed/kScaled engines (locked down by
- * tests/test_determinism.cpp and tests/test_delaywave.cpp).
+ * counts (locked down by tests/test_determinism.cpp and
+ * tests/test_delaywave.cpp, which also pins them to recorded digests).
  */
 
 #include <iosfwd>

@@ -12,6 +12,7 @@
 #include "common/obs.hpp"
 #include "common/rng.hpp"
 #include "sim/cluster.hpp"
+#include "sim/engine.hpp"
 #include "workload/app.hpp"
 
 namespace imc::workload::delaywave {
@@ -57,9 +58,7 @@ capture(const Scenario& s)
     require(s.work > 0.0, "delaywave: work must be > 0");
     require(s.period >= 1, "delaywave: period must be >= 1");
 
-    sim::SimOptions sim_opts;
-    sim_opts.mode = s.engine;
-    sim::Simulation sim(sim::ClusterSpec::scaled(s.nodes), sim_opts);
+    sim::Simulation sim(sim::ClusterSpec::scaled(s.nodes));
 
     // Chaos resilience: an armed sim.crash clause may take nodes down
     // mid-run. The decision and the crash time are pure functions of

@@ -9,7 +9,7 @@
  * and baseline runs.
  *
  * A Scenario pins everything a capture reads — geometry, coupling,
- * noise, seed, engine — and capture() is a pure function of it plus
+ * noise, seed — and capture() is a pure function of it plus
  * the armed fault schedule: the injected delay magnitude comes from
  * an armed "bsp.inject" slow clause (the PR-5 injector, exactly the
  * methodology of the Afzal–Hager–Wellein experiments), and an armed
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/timeline.hpp"
 #include "sim/wave.hpp"
 #include "workload/app_spec.hpp"
@@ -49,7 +48,6 @@ struct Scenario {
     /** Lognormal sigma of per-iteration execution noise. */
     double noise_sigma = 0.0;
     std::uint64_t seed = 42;
-    sim::EngineMode engine = sim::EngineMode::kScaled;
     /** One-off delay targets ("bsp.inject" probes); empty = baseline. */
     std::vector<BspInjection> injections;
 };

@@ -1,13 +1,14 @@
 /**
  * @file
- * Regression tests for the PR-4 determinism audit: the three
- * unordered_map sites that back recorded figures (EventQueue::live_,
- * CountingMeasure::cache_, RunService::cache_) are keyed-lookup
- * only, so hash layout and insertion order must never reach any
- * output. Each test rebuilds the container state along a different
- * history (extra insert/erase cycles, shuffled submission order) and
- * asserts the observable results — event firing order, measured
- * values and profiling cost, serialized model bytes — are identical,
+ * Regression tests for the determinism audit: the two unordered_map
+ * sites that back recorded figures (CountingMeasure::cache_,
+ * RunService::cache_) are keyed-lookup only, so hash layout and
+ * insertion order must never reach any output; likewise the event
+ * queue's slot reuse history must never reach firing order. Each
+ * test rebuilds the container state along a different history (extra
+ * schedule/cancel/fire cycles, shuffled submission order) and asserts
+ * the observable results — event firing order, measured values and
+ * profiling cost, serialized model bytes — are identical,
  * byte-for-byte where bytes exist.
  */
 
@@ -42,24 +43,29 @@ fast_cfg()
 
 /**
  * Fire the canonical tie-heavy event schedule and return the firing
- * order by payload. @p live_map_churn inserts and cancels that many
- * throwaway events FIRST, so the live_ hash map reaches a different
- * bucket layout before the real schedule begins.
+ * order by payload. @p churn schedules that many throwaway events
+ * FIRST and retires them — every third cancelled, last first, the
+ * rest fired — so the queue's slot free list holds a different reuse
+ * order before the real schedule begins.
  */
 std::vector<int>
-firing_order(int live_map_churn)
+firing_order(int churn)
 {
     sim::EventQueue q;
-    std::vector<sim::EventId> churn;
-    for (int i = 0; i < live_map_churn; ++i)
-        churn.push_back(q.schedule_at(1e9, [] {}));
-    for (const sim::EventId id : churn)
-        q.cancel(id);
+    std::vector<sim::EventId> ids;
+    for (int i = 0; i < churn; ++i)
+        ids.push_back(q.schedule_at(0.0, [] {}));
+    for (std::size_t i = ids.size(); i-- > 0;) {
+        if (i % 3 == 0)
+            q.cancel(ids[i]);
+    }
+    while (q.pop_and_run()) {
+    }
 
     std::vector<int> fired;
     for (int i = 0; i < 200; ++i) {
         // Many deliberate time ties: ties must break by insertion
-        // order (the seq counter), never by map iteration.
+        // order (the seq counter), never by slot index.
         const double t = static_cast<double>((i * 37) % 50);
         q.schedule_at(t, [&fired, i] { fired.push_back(i); });
     }
@@ -70,11 +76,11 @@ firing_order(int live_map_churn)
 
 } // namespace
 
-TEST(DeterminismAudit, EventQueuePopOrderIgnoresLiveMapLayout)
+TEST(DeterminismAudit, EventQueuePopOrderIgnoresSlotReuseHistory)
 {
     const std::vector<int> base = firing_order(0);
     EXPECT_EQ(base.size(), 200u);
-    // Different churn -> different unordered_map bucket histories.
+    // Different churn -> different slot free-list orders.
     EXPECT_EQ(base, firing_order(7));
     EXPECT_EQ(base, firing_order(1000));
 }

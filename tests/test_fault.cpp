@@ -821,8 +821,8 @@ TEST(FaultCrash, ScheduledCrashesDeterministicAndGatedOnArming)
 
 // ---------------------------------------------------------------------
 // 1k-node crash-recovery chaos: a --fault-spec sim.crash:crash:0.05
-// schedule dooms ~5% of a 1000-node cluster; the scaled engine
-// absorbs the mid-run crash wave dropping exactly the victims' work,
+// schedule dooms ~5% of a 1000-node cluster; the engine absorbs
+// the mid-run crash wave dropping exactly the victims' work,
 // and placement recovery re-places every displaced unit off the dead
 // nodes — with an outcome that is byte-identical whether the models
 // behind the evaluator were measured with 1, 4, or 8 worker threads.
@@ -875,12 +875,10 @@ TEST(FaultCrash, ThousandNodeChaosRecoveryIsThreadInvariant)
     for (const sim::NodeId node : dead)
         is_dead[static_cast<std::size_t>(node)] = true;
 
-    // Phase 1: the scaled engine takes the crash wave mid-run. Every
-    // node hosts one computing tenant; exactly the victims' work is
-    // lost and every victim ends empty.
-    sim::Simulation simulation(sim::ClusterSpec::scaled(kNodes),
-                               sim::SimOptions{
-                                   sim::EngineMode::kScaled});
+    // Phase 1: the engine takes the crash wave mid-run. Every node
+    // hosts one computing tenant; exactly the victims' work is lost
+    // and every victim ends empty.
+    sim::Simulation simulation(sim::ClusterSpec::scaled(kNodes));
     int completions = 0;
     for (int node = 0; node < kNodes; ++node) {
         const sim::TenantId tenant =
