@@ -20,7 +20,7 @@ using TenantId = int;
 /** Handle of a simulated process (one VM's worth of execution). */
 using ProcId = int;
 
-/** Handle of a scheduled event, usable for cancellation. */
+/** Handle of a scheduled event, usable to cancel or reschedule it. */
 using EventId = std::uint64_t;
 
 /** Continuation invoked when an event fires or an action completes. */
