@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "common/obs.hpp"
@@ -219,6 +220,15 @@ struct SurfaceCase {
     std::function<double(int, int)> surface;
     double max_err_pct;
 };
+
+// ctest names each case after its printed parameter. gtest's default
+// printer dumps the struct's bytes, `name`'s address among them, so the
+// names would change with every build and run; print the name instead.
+static void
+PrintTo(const SurfaceCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 class ProfilerSweep : public ::testing::TestWithParam<SurfaceCase> {};
 
