@@ -4,11 +4,10 @@
 /**
  * @file
  * Internal seams between the analyzer's translation units (driver,
- * rules, index cache, project passes). Nothing here is part of the
- * public lint.hpp surface.
+ * rules, project passes). Nothing here is part of the public
+ * lint.hpp surface.
  */
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -41,13 +40,6 @@ std::vector<ObsUse> extract_obs_uses(const LexResult& lex,
                                      const std::string& path);
 std::vector<RegistryEntry>
 extract_registry_array(const LexResult& lex, const char* array_name);
-
-// index.cpp — the incremental cache.
-std::map<std::string, FileIndex> load_cache(const std::string& path,
-                                            const Options& opts);
-void save_cache(const std::string& path,
-                const std::vector<FileIndex>& index,
-                const Options& opts);
 
 } // namespace imc::lint::detail
 

@@ -11,8 +11,7 @@
  * @file
  * The driver core: file classification, suppression handling, the
  * deterministic tree walk, and phase 1 (index_content). Rules live in
- * rules.cpp, the incremental cache in index.cpp, and the phase-2
- * project passes in project.cpp.
+ * rules.cpp and the phase-2 project passes in project.cpp.
  */
 
 namespace imc::lint {
@@ -225,20 +224,6 @@ read_file(const std::string& path)
 
 } // namespace detail
 
-std::uint64_t
-content_hash(const std::string& content)
-{
-    // FNV-1a 64: tiny, stable across platforms, and collisions only
-    // cost a stale cache entry, never a wrong finding (the cache is
-    // re-validated against the sibling hash too).
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : content) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 FileIndex
 index_content(const std::string& path, const std::string& content,
               const std::string& sibling_header_content,
@@ -256,10 +241,6 @@ index_content(const std::string& path, const std::string& content,
     FileIndex idx;
     idx.path = path;
     idx.category = ctx.category;
-    idx.content_hash = content_hash(content);
-    idx.sibling_hash = sibling_header_content.empty()
-                           ? 0
-                           : content_hash(sibling_header_content);
     idx.includes = detail::extract_includes(ctx.lines);
     idx.unordered_names = unordered_decl_names_in(content);
     idx.fault_probes = detail::extract_fault_probes(ctx.lex, path);

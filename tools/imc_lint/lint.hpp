@@ -14,9 +14,7 @@
  *            FileIndex — include directives, unordered-container
  *            declarations, IMC_FAULT_PROBE site literals, IMC_OBS_*
  *            name patterns, registry arrays, suppression comments,
- *            and the per-file rule findings. Indices are cached on a
- *            content hash (--cache), so a warm run re-lexes only
- *            what changed and returns byte-identical findings.
+ *            and the per-file rule findings.
  *
  *   phase 2  cross-file passes run over the merged index: the
  *            project include graph (cycles + the layering policy in
@@ -84,9 +82,7 @@
  * registry entry).
  */
 
-#include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -182,8 +178,6 @@ struct SuppressionInfo {
 struct FileIndex {
     std::string path;
     Category category = Category::Library;
-    std::uint64_t content_hash = 0;
-    std::uint64_t sibling_hash = 0; ///< 0 when no sibling header
     std::vector<IncludeRef> includes;
     /** Unordered-container names declared here (exported to the
      * sibling .cpp's taint pass). */
@@ -199,9 +193,6 @@ struct FileIndex {
      * the lint-suppression meta findings). */
     std::vector<Diagnostic> diags;
 };
-
-/** FNV-1a 64 of @p content — the incremental-cache key. */
-std::uint64_t content_hash(const std::string& content);
 
 /**
  * Phase 1 for one file: lex, run the per-file rules, apply
@@ -249,7 +240,6 @@ struct ProjectOptions {
 
 struct ProjectStats {
     std::size_t files = 0;
-    std::size_t files_reused = 0; ///< indices served from the cache
     std::size_t include_edges = 0;
     std::size_t diagnostics = 0;
     std::size_t suppressions = 0;
@@ -278,16 +268,11 @@ analyze_files(const std::vector<std::pair<std::string, std::string>>& files,
 /**
  * Analyze the on-disk tree: walk @p roots (files or directories)
  * under @p root_dir exactly like lint_tree, load the layer policy
- * and the registry headers from the tree, and run both phases. When
- * @p cache_path is non-empty, per-file indices are reused from the
- * cache file when the content hash (and the sibling header's hash)
- * match, and the cache is rewritten afterwards; a warm run returns
- * findings byte-identical to a cold one.
+ * and the registry headers from the tree, and run both phases.
  */
 ProjectResult analyze_tree(const std::string& root_dir,
                            const std::vector<std::string>& roots,
-                           const ProjectOptions& opts,
-                           const std::string& cache_path = "");
+                           const ProjectOptions& opts);
 
 /** The walk behind analyze_tree: root-relative lintable files. */
 std::vector<std::string>
@@ -299,22 +284,8 @@ lintable_files(const std::string& root_dir,
 /** SARIF 2.1.0 log of @p r (GitHub code-scanning ingestible). */
 void write_sarif(std::ostream& os, const ProjectResult& r);
 
-/** The project include graph as GraphViz DOT, layers as clusters. */
-void write_include_dot(std::ostream& os, const ProjectResult& r);
-
 /** Stable "key value" lines (the CI --stats contract). */
 void write_stats(std::ostream& os, const ProjectStats& s);
-
-// --- Fixing -----------------------------------------------------------
-
-/**
- * Mechanically fix the include-order and header-guard findings in
- * @p content. Returns the rewritten content, or std::nullopt when
- * nothing needed fixing. Idempotent: fix_content(fix_content(x)) is
- * always nullopt. Opt-in via the CLI --fix flag; never run in CI.
- */
-std::optional<std::string> fix_content(const std::string& path,
-                                       const std::string& content);
 
 // --- Compatibility entry points ---------------------------------------
 

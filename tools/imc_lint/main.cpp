@@ -3,8 +3,7 @@
  * imc_lint CLI.
  *
  *   imc_lint [--root DIR] [--allow RULE]... [--sarif FILE]
- *            [--dot FILE] [--cache FILE] [--stats] [--fix]
- *            [--list-rules] [PATH]...
+ *            [--stats] [--list-rules] [PATH]...
  *
  * PATHs (files or directories, relative to --root) default to the
  * five linted trees: src examples bench tests tools. The
@@ -28,34 +27,17 @@ int
 usage(std::ostream& os, int code)
 {
     os << "usage: imc_lint [--root DIR] [--allow RULE]... "
-          "[--sarif FILE] [--dot FILE]\n"
-          "                [--cache FILE] [--stats] [--fix] "
-          "[--list-rules] [PATH]...\n"
+          "[--sarif FILE]\n"
+          "                [--stats] [--list-rules] [PATH]...\n"
           "  --root DIR    resolve PATHs and report paths relative "
           "to DIR (default .)\n"
           "  --allow RULE  disable RULE everywhere (prefer inline "
           "justified suppressions)\n"
           "  --sarif FILE  also write the findings as SARIF 2.1.0\n"
-          "  --dot FILE    also write the project include graph as "
-          "GraphViz DOT\n"
-          "  --cache FILE  reuse / rewrite the incremental index "
-          "cache at FILE\n"
           "  --stats       print analyzer statistics to stdout\n"
-          "  --fix         rewrite include-order / header-guard "
-          "findings in place\n"
-          "                (opt-in; never run in CI)\n"
           "  --list-rules  print rule ids and one-line "
           "descriptions\n";
     return code;
-}
-
-std::string
-read_all(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::string out((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    return out;
 }
 
 } // namespace
@@ -64,8 +46,8 @@ int
 main(int argc, char** argv)
 {
     std::string root = ".";
-    std::string sarif_path, dot_path, cache_path;
-    bool stats = false, fix = false;
+    std::string sarif_path;
+    bool stats = false;
     imc::lint::ProjectOptions opts;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
@@ -90,16 +72,8 @@ main(int argc, char** argv)
         } else if (arg == "--sarif") {
             if (!value(sarif_path))
                 return usage(std::cerr, 2);
-        } else if (arg == "--dot") {
-            if (!value(dot_path))
-                return usage(std::cerr, 2);
-        } else if (arg == "--cache") {
-            if (!value(cache_path))
-                return usage(std::cerr, 2);
         } else if (arg == "--stats") {
             stats = true;
-        } else if (arg == "--fix") {
-            fix = true;
         } else if (arg == "--allow") {
             if (++i >= argc)
                 return usage(std::cerr, 2);
@@ -123,27 +97,8 @@ main(int argc, char** argv)
     if (paths.empty())
         paths = {"src", "examples", "bench", "tests", "tools"};
 
-    if (fix) {
-        std::size_t fixed = 0;
-        for (const std::string& rel :
-             imc::lint::lintable_files(root, paths)) {
-            const std::string full = root + "/" + rel;
-            const auto rewritten =
-                imc::lint::fix_content(rel, read_all(full));
-            if (!rewritten)
-                continue;
-            std::ofstream out(full, std::ios::binary |
-                                        std::ios::trunc);
-            out << *rewritten;
-            std::cout << "fixed " << rel << "\n";
-            ++fixed;
-        }
-        std::cerr << "imc_lint: rewrote " << fixed << " file"
-                  << (fixed == 1 ? "" : "s") << "\n";
-    }
-
     const imc::lint::ProjectResult result =
-        imc::lint::analyze_tree(root, paths, opts, cache_path);
+        imc::lint::analyze_tree(root, paths, opts);
     for (const auto& d : result.diags)
         std::cout << d.path << ":" << d.line << ": [" << d.rule
                   << "] " << d.message << "\n";
@@ -151,16 +106,11 @@ main(int argc, char** argv)
         std::ofstream out(sarif_path, std::ios::trunc);
         imc::lint::write_sarif(out, result);
     }
-    if (!dot_path.empty()) {
-        std::ofstream out(dot_path, std::ios::trunc);
-        imc::lint::write_include_dot(out, result);
-    }
     if (stats)
         imc::lint::write_stats(std::cout, result.stats);
     std::cerr << "imc_lint: " << result.diags.size()
               << " diagnostic"
               << (result.diags.size() == 1 ? "" : "s") << " across "
-              << result.stats.files << " files ("
-              << result.stats.files_reused << " cached)\n";
+              << result.stats.files << " files\n";
     return result.diags.empty() ? 0 : 1;
 }

@@ -12,8 +12,8 @@
  * @file
  * Phase 2: the cross-file passes over the merged index — the project
  * include graph (cycles + the layering policy), the fault-site and
- * obs-name used⇔registered cross-checks — plus the SARIF / DOT /
- * stats writers and the analyze_files / analyze_tree entry points.
+ * obs-name used⇔registered cross-checks — plus the SARIF and stats
+ * writers and the analyze_files / analyze_tree entry points.
  */
 
 namespace imc::lint {
@@ -275,8 +275,7 @@ pass_obs_names(const std::vector<FileIndex>& index,
 // --- Orchestration ----------------------------------------------------
 
 ProjectResult
-run_project(std::vector<FileIndex> index, const ProjectOptions& opts,
-            std::size_t files_reused)
+run_project(std::vector<FileIndex> index, const ProjectOptions& opts)
 {
     std::sort(index.begin(), index.end(),
               [](const FileIndex& a, const FileIndex& b) {
@@ -285,7 +284,6 @@ run_project(std::vector<FileIndex> index, const ProjectOptions& opts,
 
     ProjectResult r;
     r.stats.files = index.size();
-    r.stats.files_reused = files_reused;
 
     // Phase-1 findings (already suppression-filtered per file).
     std::map<std::string, const FileIndex*> by_path;
@@ -453,14 +451,13 @@ analyze_files(
         index.push_back(
             index_content(path, content, sibling, opts.rules));
     }
-    return run_project(std::move(index), opts, 0);
+    return run_project(std::move(index), opts);
 }
 
 ProjectResult
 analyze_tree(const std::string& root_dir,
              const std::vector<std::string>& roots,
-             const ProjectOptions& opts,
-             const std::string& cache_path)
+             const ProjectOptions& opts)
 {
     const fs::path root = root_dir.empty() ? fs::path(".")
                                            : fs::path(root_dir);
@@ -484,11 +481,6 @@ analyze_tree(const std::string& root_dir,
     }
     std::sort(files.begin(), files.end());
 
-    std::map<std::string, FileIndex> cache;
-    if (!cache_path.empty())
-        cache = detail::load_cache(cache_path, effective.rules);
-
-    std::size_t reused = 0;
     std::vector<FileIndex> index;
     index.reserve(files.size());
     for (const std::string& rel : files) {
@@ -503,23 +495,10 @@ analyze_tree(const std::string& root_dir,
             if (fs::is_regular_file(header))
                 sibling = detail::read_file(header.string());
         }
-        const std::uint64_t h = content_hash(content);
-        const std::uint64_t sh =
-            sibling.empty() ? 0 : content_hash(sibling);
-        const auto it = cache.find(rel);
-        if (it != cache.end() && it->second.content_hash == h &&
-            it->second.sibling_hash == sh) {
-            index.push_back(it->second);
-            ++reused;
-            continue;
-        }
         index.push_back(
             index_content(rel, content, sibling, effective.rules));
     }
-
-    if (!cache_path.empty())
-        detail::save_cache(cache_path, index, effective.rules);
-    return run_project(std::move(index), effective, reused);
+    return run_project(std::move(index), effective);
 }
 
 // --- Output -----------------------------------------------------------
@@ -589,39 +568,9 @@ write_sarif(std::ostream& os, const ProjectResult& r)
 }
 
 void
-write_include_dot(std::ostream& os, const ProjectResult& r)
-{
-    // Cluster nodes by directory so the layering is visible at a
-    // glance; edges are the resolved project includes.
-    const std::vector<Edge> edges = resolved_edges(r.index);
-    std::map<std::string, std::vector<std::string>> clusters;
-    for (const FileIndex& idx : r.index) {
-        const std::size_t slash = idx.path.rfind('/');
-        const std::string dir = slash == std::string::npos
-                                    ? std::string(".")
-                                    : idx.path.substr(0, slash);
-        clusters[dir].push_back(idx.path);
-    }
-    os << "digraph includes {\n  rankdir=LR;\n"
-       << "  node [shape=box, fontsize=10];\n";
-    std::size_t n = 0;
-    for (const auto& [dir, nodes] : clusters) {
-        os << "  subgraph cluster_" << n++ << " {\n    label=\""
-           << dir << "\";\n";
-        for (const std::string& p : nodes)
-            os << "    \"" << p << "\";\n";
-        os << "  }\n";
-    }
-    for (const Edge& e : edges)
-        os << "  \"" << e.from << "\" -> \"" << e.to << "\";\n";
-    os << "}\n";
-}
-
-void
 write_stats(std::ostream& os, const ProjectStats& s)
 {
     os << "files " << s.files << "\n"
-       << "files_reused " << s.files_reused << "\n"
        << "include_edges " << s.include_edges << "\n"
        << "diagnostics " << s.diagnostics << "\n"
        << "suppressions " << s.suppressions << "\n"
