@@ -61,7 +61,7 @@ namespace imc::fault {
  *
  *   run.exec            RunService request execution
  *   registry.cache.load model-cache file load (transient corruption)
- *   sim.crash           node-crash schedule (placement recovery)
+ *   sim.crash           node-crash schedule (delay-wave chaos runs)
  *   sched.admit         scheduler admission control (arrival rejected)
  *   sched.evict         scheduler eviction (victim candidate vetoed)
  *   bsp.inject          one-off BSP compute-segment delay (the

@@ -63,9 +63,6 @@ inline constexpr const char* kObsNames[] = {
     "measure.cache_hits",
     "measure.measured",
     "measure.prefetched",
-    // crash recovery
-    "placement.recover",
-    "placement.recovered_units",
     // profilers: spans per algorithm plus per-algorithm cost
     // counters, all under one "profiler.<algo>" prefix so a single
     // grep over a metrics dump finds a whole algorithm's row

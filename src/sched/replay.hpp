@@ -89,7 +89,13 @@ struct ReplayResult {
     int departures = 0;
     int crashes = 0;
     int joins = 0;
-    /** Best-effort apps evicted (admission makeway + crash repair). */
+    /**
+     * Apps evicted: best-effort apps pushed out to make room (for an
+     * SLO arrival or for units a crash displaced), plus displaced
+     * apps crash repair had to drop because no live node could take
+     * one of their units, which may carry an SLO. Execute mode
+     * detaches all of them.
+     */
     int evictions = 0;
     /** Units moved off dead nodes by crash repair. */
     int moved_units = 0;

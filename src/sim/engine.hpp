@@ -176,10 +176,9 @@ class Simulation {
      * callback is dropped — the in-flight work is lost), every tenant
      * on the node is removed, and the node refuses new tenants from
      * then on. Survivors on other nodes are untouched; re-placing the
-     * lost units is the placement layer's job
-     * (placement::recover_after_crash). Crashing a node twice is a
-     * no-op; this may be called from inside a scheduled event (a
-     * mid-run crash) or between runs.
+     * lost units is the scheduler's job (sched::SchedulerCore::crash).
+     * Crashing a node twice is a no-op; this may be called from inside
+     * a scheduled event (a mid-run crash) or between runs.
      */
     void crash_node(NodeId node);
 
