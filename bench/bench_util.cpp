@@ -39,32 +39,25 @@ apps_from_cli(const Cli& cli)
 std::vector<AlgoOutcome>
 profiling_campaign(const workload::AppSpec& app,
                    const workload::RunConfig& cfg, double epsilon,
-                   workload::RunService* service)
+                   workload::RunService& service)
 {
     const obs::Span span("campaign:" + app.abbrev);
     const auto nodes = workload::all_nodes(cfg.cluster);
     core::ProfileOptions opts;
     opts.hosts = cfg.cluster.num_nodes;
     opts.epsilon = epsilon;
-    if (service)
-        opts.row_tasks = service->threads();
+    opts.row_tasks = service.threads();
 
     // Each algorithm gets a fresh counting wrapper (shared cached
     // measures would couple the cost accounting), all backed by the
-    // same deterministic leaf runs — via the shared service when one
-    // is given, whose cache then deduplicates the settings the
-    // algorithms re-measure.
+    // same deterministic leaf runs through the shared service, whose
+    // cache deduplicates the settings the algorithms re-measure.
     const auto fresh_measure = [&] {
-        return service
-                   ? core::CountingMeasure(
-                         core::make_cluster_measure(app, nodes, cfg,
-                                                    opts.grid,
-                                                    *service),
-                         core::make_cluster_prefetch(app, nodes, cfg,
-                                                     opts.grid,
-                                                     *service))
-                   : core::CountingMeasure(core::make_cluster_measure(
-                         app, nodes, cfg, opts.grid));
+        return core::CountingMeasure(
+            core::make_cluster_measure(app, nodes, cfg, opts.grid,
+                                       service),
+            core::make_cluster_prefetch(app, nodes, cfg, opts.grid,
+                                        service));
     };
 
     // Exhaustive ground truth.
@@ -103,14 +96,13 @@ validate_pairwise(core::ModelRegistry& registry,
     const int m = cfg.cluster.num_nodes;
     const auto& target_model = registry.model(target, m);
     // Distinct co-runner models can profile concurrently.
-    if (auto* service = registry.service();
-        service && service->threads() > 1)
+    if (registry.service().threads() > 1)
         registry.prefetch(corunners, m);
 
     // One batch: the target's solo baseline plus its co-run with every
     // co-runner. With a multi-threaded registry service the whole
     // validation row measures concurrently; the samples are
-    // bit-identical either way.
+    // bit-identical at any thread count.
     std::vector<workload::RunRequest> reqs;
     reqs.reserve(corunners.size() + 1);
     workload::RunConfig solo_cfg = cfg;
@@ -125,14 +117,7 @@ validate_pairwise(core::ModelRegistry& registry,
             target, nodes, {workload::Deployment{corunner, nodes}},
             corun_cfg));
     }
-    std::vector<double> times;
-    if (auto* service = registry.service()) {
-        times = service->run_all(reqs);
-    } else {
-        times.reserve(reqs.size());
-        for (const auto& req : reqs)
-            times.push_back(workload::execute_request(req));
-    }
+    const std::vector<double> times = registry.service().run_all(reqs);
     const double solo = times[0];
 
     std::vector<ValidationSample> out;

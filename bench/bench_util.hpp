@@ -27,9 +27,9 @@ workload::RunConfig config_from_cli(const Cli& cli,
 
 /**
  * Measurement backend from --threads. The recorded figure benches
- * default to 1 (inline serial execution, byte-identical output to the
- * pre-service harnesses); pass 0 to default to hardware concurrency
- * (the examples do). All results are bit-identical at any setting.
+ * default to 1 (inline serial execution on the calling thread); pass
+ * 0 to default to hardware concurrency (the examples do). All results
+ * are bit-identical at any setting.
  */
 std::unique_ptr<workload::RunService>
 service_from_cli(const Cli& cli, int default_threads = 1);
@@ -51,16 +51,16 @@ struct AlgoOutcome {
  * random-50%, random-30%) against one application and compare with
  * the exhaustively measured matrix.
  *
- * With a @p service the campaign batches each algorithm's settings
- * and runs rows concurrently; the service's content-addressed cache
- * also deduplicates the cluster runs the five algorithms share (each
- * algorithm keeps its own cost accounting, as before). Outcomes are
- * bit-identical with and without a service.
+ * The campaign batches each algorithm's settings through @p service
+ * and runs rows concurrently on its workers; the service's
+ * content-addressed cache also deduplicates the cluster runs the five
+ * algorithms share (each algorithm keeps its own cost accounting).
+ * Outcomes are bit-identical at any thread count.
  */
 std::vector<AlgoOutcome>
 profiling_campaign(const workload::AppSpec& app,
                    const workload::RunConfig& cfg, double epsilon,
-                   workload::RunService* service = nullptr);
+                   workload::RunService& service);
 
 /** One co-run validation sample. */
 struct ValidationSample {
@@ -75,7 +75,8 @@ struct ValidationSample {
 /**
  * Validate @p target's model against measured co-runs with every app
  * in @p corunners (Section 4.3's methodology: both span all nodes,
- * the co-runner restarts until the target completes).
+ * the co-runner restarts until the target completes). The co-runs go
+ * through the registry's RunService.
  */
 std::vector<ValidationSample>
 validate_pairwise(core::ModelRegistry& registry,

@@ -39,8 +39,7 @@ main(int argc, char** argv)
                  "random-50%", "random-30%"});
     for (const auto& app : apps) {
         const auto outcomes =
-            benchutil::profiling_campaign(app, cfg, epsilon,
-                                          service.get());
+            benchutil::profiling_campaign(app, cfg, epsilon, *service);
         table.add_row({app.abbrev,
                        fmt_fixed(outcomes[0].error_pct, 2),
                        fmt_fixed(outcomes[1].error_pct, 2),

@@ -7,23 +7,22 @@
  * plus the four cheaper algorithms (binary-brute among them) per
  * application — so the session measures the same cluster settings
  * over and over, both across harnesses and across algorithms within
- * one harness. Three variants:
+ * one harness. Two variants:
  *
- *  (a) direct — every consumer executes its own cluster runs inline,
- *      the pre-service behaviour (what running the three bench
- *      binaries separately costs);
- *  (b) service, 1 thread — the shared content-addressed cache
+ *  (a) service, 1 thread — the shared content-addressed cache
  *      deduplicates everything the harnesses and algorithms
  *      re-measure (the all-hosts column, the binary-search anchors,
- *      whole repeated campaigns), so far fewer runs execute;
- *  (c) service, N threads — (b) plus the worker pool running the
+ *      whole repeated campaigns), and the distinct runs execute
+ *      inline on the calling thread;
+ *  (b) service, N threads — (a) plus the worker pool running the
  *      deduplicated runs concurrently (a no-op on a single-core
- *      host; the cache is what carries the speedup there).
+ *      host).
  *
- * The bench cross-checks that all three variants produce bit-identical
- * cost and error numbers for every (app, algorithm) pair — the speedup
- * is never bought with a different answer — and prints the service's
- * submitted/executed/cache-hit accounting.
+ * The speedup column is relative to (a). The bench cross-checks that
+ * both variants produce bit-identical cost and error numbers for
+ * every (app, algorithm) pair — the speedup is never bought with a
+ * different answer — and prints the service's executed/cache-hit
+ * accounting.
  *
  * Usage: micro_runservice [--apps A,B,...] [--threads 4]
  *                         [--epsilon 0.05] [--seed S] [--reps N]
@@ -104,33 +103,21 @@ run(int argc, char** argv)
               << ", seed=" << cfg.seed << ", reps=" << cfg.reps
               << ", threads=" << threads << ")\n\n";
 
-    struct Variant {
-        std::string name;
-        int threads; // 0 = no service (direct execution)
-    };
-    const std::vector<Variant> variants{
-        {"direct (no service)", 0},
-        {"service, 1 thread", 1},
-        {"service, " + std::to_string(threads) + " threads", threads},
-    };
-
     Table table({"variant", "time (s)", "speedup", "runs executed",
                  "cache hits"});
-    double direct_time = 0.0;
-    Campaign direct_outcomes;
+    double serial_time = 0.0;
+    Campaign serial_outcomes;
     bool all_identical = true;
-    for (const auto& variant : variants) {
-        std::unique_ptr<workload::RunService> service;
-        if (variant.threads > 0)
-            service = std::make_unique<workload::RunService>(
-                variant.threads);
+    for (const bool serial : {true, false}) {
+        const int vt = serial ? 1 : threads;
+        workload::RunService service(vt);
 
         const auto t0 = std::chrono::steady_clock::now();
         Campaign outcomes;
         for (std::size_t h = 0; h < harnesses.size(); ++h) {
             for (const auto& app : apps) {
                 auto result = benchutil::profiling_campaign(
-                    app, cfg, epsilon, service.get());
+                    app, cfg, epsilon, service);
                 // Every harness must see the same numbers; keep the
                 // first pass for the cross-variant check.
                 if (h == 0)
@@ -139,27 +126,25 @@ run(int argc, char** argv)
         }
         const double elapsed = seconds_of(t0);
 
-        std::string executed = "-";
-        std::string hits = "-";
-        if (service) {
-            const auto stats = service->stats();
-            executed = std::to_string(stats.executed);
-            hits = std::to_string(stats.cache_hits);
-        }
-        if (variant.threads == 0) {
-            direct_time = elapsed;
-            direct_outcomes = outcomes;
+        if (serial) {
+            serial_time = elapsed;
+            serial_outcomes = outcomes;
         } else {
             all_identical =
-                all_identical && identical(outcomes, direct_outcomes);
+                all_identical && identical(outcomes, serial_outcomes);
         }
-        table.add_row({variant.name, fmt_fixed(elapsed, 3),
-                       fmt_fixed(direct_time / elapsed, 2) + "x",
-                       executed, hits});
+        const auto stats = service.stats();
+        table.add_row(
+            {"service, " + std::to_string(vt) +
+                 (vt == 1 ? " thread" : " threads"),
+             fmt_fixed(elapsed, 3),
+             fmt_fixed(serial_time / elapsed, 2) + "x",
+             std::to_string(stats.executed),
+             std::to_string(stats.cache_hits)});
     }
     table.print(std::cout);
 
-    std::cout << "\nall variants bit-identical to direct execution: "
+    std::cout << "\nall variants bit-identical to the 1-thread service: "
               << (all_identical ? "yes" : "NO — BUG") << '\n'
               << "(the cache absorbs the settings the five algorithms "
                  "share; extra threads\n overlap the remaining "

@@ -49,8 +49,7 @@ main(int argc, char** argv)
     std::map<core::ProfileAlgorithm, OnlineStats> error;
     for (const auto& app : apps) {
         const auto outcomes =
-            benchutil::profiling_campaign(app, cfg, epsilon,
-                                          service.get());
+            benchutil::profiling_campaign(app, cfg, epsilon, *service);
         for (const auto& outcome : outcomes) {
             cost[outcome.algorithm].add(outcome.cost_pct);
             error[outcome.algorithm].add(outcome.error_pct);

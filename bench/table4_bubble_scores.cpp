@@ -33,7 +33,7 @@ main(int argc, char** argv)
               << ", reps=" << cfg.reps << ")\n\n";
 
     const auto service = benchutil::service_from_cli(cli);
-    const core::BubbleScorer scorer(cfg, service.get());
+    const core::BubbleScorer scorer(cfg, *service);
     std::cout << "Reporter calibration (probe degradation at bubble "
                  "pressure 0..8):\n  ";
     for (double d : scorer.calibration())

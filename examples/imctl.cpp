@@ -274,7 +274,7 @@ cmd_campaign(const Cli& cli)
     for (int pass = 0; pass < passes; ++pass) {
         for (const auto& app : apps) {
             const auto outcomes = benchutil::profiling_campaign(
-                app, cfg, epsilon, service.get());
+                app, cfg, epsilon, *service);
             if (pass > 0)
                 continue; // later passes only exercise the cache
             for (const auto& outcome : outcomes) {

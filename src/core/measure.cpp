@@ -1,7 +1,6 @@
 #include "core/measure.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -76,8 +75,7 @@ CountingMeasure::measured() const
 
 namespace {
 
-/** The loaded run behind one homogeneous setting (shared by the
- *  serial and service-backed paths, so their values are identical). */
+/** The loaded run behind one homogeneous setting. */
 workload::RunRequest
 loaded_request(const workload::AppSpec& app,
                const std::vector<sim::NodeId>& nodes,
@@ -144,47 +142,7 @@ hetero_request(const workload::AppSpec& app,
         app, nodes, workload::bubble_tenants(by_node), run_cfg);
 }
 
-/** Shared lazily-measured solo baseline of the serial path. */
-struct SoloCache {
-    std::mutex mutex;
-    double value = -1.0;
-};
-
-double
-solo_time(const workload::AppSpec& app,
-          const std::vector<sim::NodeId>& nodes,
-          const workload::RunConfig& cfg,
-          const std::shared_ptr<SoloCache>& cache)
-{
-    const std::lock_guard<std::mutex> lock(cache->mutex);
-    if (cache->value < 0.0) {
-        cache->value =
-            workload::execute_request(solo_request(app, nodes, cfg));
-        invariant(cache->value > 0.0,
-                  "make_cluster_measure: nonpositive solo time");
-    }
-    return cache->value;
-}
-
 } // namespace
-
-MeasureFn
-make_cluster_measure(const workload::AppSpec& app,
-                     const std::vector<sim::NodeId>& nodes,
-                     const workload::RunConfig& cfg,
-                     const std::vector<double>& grid)
-{
-    require(!grid.empty(), "make_cluster_measure: empty grid");
-    auto cache = std::make_shared<SoloCache>();
-    return [app, nodes, cfg, grid, cache](int pressure,
-                                          int node_count) {
-        if (node_count == 0)
-            return 1.0;
-        const double loaded = workload::execute_request(loaded_request(
-            app, nodes, cfg, grid, pressure, node_count));
-        return loaded / solo_time(app, nodes, cfg, cache);
-    };
-}
 
 MeasureFn
 make_cluster_measure(const workload::AppSpec& app,
@@ -225,20 +183,6 @@ make_cluster_prefetch(const workload::AppSpec& app,
             svc->submit(loaded_request(app, nodes, cfg, grid, pressure,
                                        node_count));
         }
-    };
-}
-
-HeteroMeasureFn
-make_cluster_hetero_measure(const workload::AppSpec& app,
-                            const std::vector<sim::NodeId>& nodes,
-                            const workload::RunConfig& cfg)
-{
-    auto cache = std::make_shared<SoloCache>();
-    return [app, nodes, cfg,
-            cache](const std::vector<double>& pressures) {
-        const double loaded = workload::execute_request(
-            hetero_request(app, nodes, cfg, pressures));
-        return loaded / solo_time(app, nodes, cfg, cache);
     };
 }
 

@@ -13,12 +13,11 @@
  * MeasureFn to count and cache invocations, which is how profiling
  * *cost* (Table 3) is accounted.
  *
- * Measurements can run against a workload::RunService backend: the
- * service-backed factories build the exact same leaf runs (identical
- * seeds and salts, hence bit-identical values) but route them through
- * the service's worker pool and content-addressed cache, and expose a
- * *batch-prefetch* hook so a profiler can fan out every setting it
- * knows it will need before consuming them serially.
+ * Every cluster measurement runs through a workload::RunService: the
+ * factories route the leaf runs through the service's worker pool and
+ * content-addressed cache (a 1-thread service runs them inline on the
+ * caller), and a *batch-prefetch* hook lets a profiler fan out every
+ * setting it knows it will need before consuming them serially.
  */
 
 #include <functional>
@@ -112,21 +111,12 @@ class CountingMeasure {
  * application: deploys the app on @p nodes, places bubbles on the
  * first j of them, runs, and normalizes against the solo run.
  *
- * @param app   application to measure
- * @param nodes its deployment
- * @param cfg   run configuration
- * @param grid  bubble pressure of each level (level i -> grid[i-1])
- */
-MeasureFn
-make_cluster_measure(const workload::AppSpec& app,
-                     const std::vector<sim::NodeId>& nodes,
-                     const workload::RunConfig& cfg,
-                     const std::vector<double>& grid);
-
-/**
- * Service-backed variant: identical leaf runs (bit-identical values)
- * routed through @p service. The service reference must outlive the
- * returned function.
+ * @param app     application to measure
+ * @param nodes   its deployment
+ * @param cfg     run configuration
+ * @param grid    bubble pressure of each level (level i -> grid[i-1])
+ * @param service runs every measurement; must outlive the returned
+ *        function
  */
 MeasureFn
 make_cluster_measure(const workload::AppSpec& app,
@@ -136,9 +126,9 @@ make_cluster_measure(const workload::AppSpec& app,
                      workload::RunService& service);
 
 /**
- * Batch-prefetch hook matching the service-backed measure: submits
- * the loaded run of every given setting plus the shared solo
- * baseline, without waiting.
+ * Batch-prefetch hook matching make_cluster_measure: submits the
+ * loaded run of every given setting plus the shared solo baseline,
+ * without waiting.
  */
 CountingMeasure::PrefetchFn
 make_cluster_prefetch(const workload::AppSpec& app,
@@ -148,12 +138,6 @@ make_cluster_prefetch(const workload::AppSpec& app,
                       workload::RunService& service);
 
 /** Heterogeneous counterpart (per-node pressures over @p nodes). */
-HeteroMeasureFn
-make_cluster_hetero_measure(const workload::AppSpec& app,
-                            const std::vector<sim::NodeId>& nodes,
-                            const workload::RunConfig& cfg);
-
-/** Service-backed heterogeneous variant (bit-identical values). */
 HeteroMeasureFn
 make_cluster_hetero_measure(const workload::AppSpec& app,
                             const std::vector<sim::NodeId>& nodes,

@@ -90,13 +90,21 @@ config_hash(const workload::RunConfig& cfg,
     return h;
 }
 
+workload::RunService&
+non_null(workload::RunService* service)
+{
+    require(service != nullptr,
+            "ModelRegistry: service must be a RunService, not null");
+    return *service;
+}
+
 } // namespace
 
 ModelRegistry::ModelRegistry(workload::RunConfig cfg,
                              ModelBuildOptions opts,
                              workload::RunService* service)
-    : cfg_(std::move(cfg)), opts_(std::move(opts)), service_(service),
-      scorer_(cfg_, service)
+    : cfg_(std::move(cfg)), opts_(std::move(opts)),
+      service_(non_null(service)), scorer_(cfg_, service_)
 {
 }
 
@@ -238,26 +246,17 @@ ModelRegistry::build(const workload::AppSpec& app, int deploy_nodes)
     ProfileOptions popts;
     popts.hosts = deploy_nodes;
     popts.epsilon = opts_.epsilon;
-    CountingMeasure measure =
-        service_
-            ? CountingMeasure(
-                  make_cluster_measure(app, nodes, cfg_, popts.grid,
-                                       *service_),
-                  make_cluster_prefetch(app, nodes, cfg_, popts.grid,
-                                        *service_))
-            : CountingMeasure(
-                  make_cluster_measure(app, nodes, cfg_, popts.grid));
-    if (service_)
-        popts.row_tasks = service_->threads();
+    CountingMeasure measure(
+        make_cluster_measure(app, nodes, cfg_, popts.grid, service_),
+        make_cluster_prefetch(app, nodes, cfg_, popts.grid, service_));
+    popts.row_tasks = service_.threads();
     const auto profile = run_profiler(
         opts_.algorithm, measure, popts,
         hash_combine(cfg_.seed, hash_string("profiler:" + app.abbrev)));
 
     // 2. Heterogeneity policy from random measured samples.
     const auto hetero =
-        service_ ? make_cluster_hetero_measure(app, nodes, cfg_,
-                                               *service_)
-                 : make_cluster_hetero_measure(app, nodes, cfg_);
+        make_cluster_hetero_measure(app, nodes, cfg_, service_);
     const auto fits = evaluate_policies(
         profile.matrix, hetero, deploy_nodes, opts_.policy_samples,
         Rng(hash_combine(cfg_.seed,

@@ -38,21 +38,8 @@ bubble_as_app(double pressure)
     return s;
 }
 
-std::vector<double>
-BubbleScorer::run_batch(
-    const std::vector<workload::RunRequest>& reqs) const
-{
-    if (service_)
-        return service_->run_all(reqs);
-    std::vector<double> out;
-    out.reserve(reqs.size());
-    for (const auto& req : reqs)
-        out.push_back(workload::execute_request(req));
-    return out;
-}
-
 BubbleScorer::BubbleScorer(workload::RunConfig cfg,
-                           workload::RunService* service)
+                           workload::RunService& service)
     : cfg_(std::move(cfg)), service_(service)
 {
     IMC_OBS_SPAN(span, "scorer.calibrate");
@@ -77,7 +64,7 @@ BubbleScorer::BubbleScorer(workload::RunConfig cfg,
                                                   extra, run_cfg));
     }
     IMC_OBS_COUNT("scorer.calibration_runs", reqs.size());
-    const auto times = run_batch(reqs);
+    const auto times = service_.run_all(reqs);
 
     probe_solo_time_ = times[0];
     invariant(probe_solo_time_ > 0.0,
@@ -128,7 +115,7 @@ BubbleScorer::score(const workload::AppSpec& app,
     for (sim::NodeId node : nodes)
         reqs.push_back(probe_request(app, nodes, node));
     IMC_OBS_COUNT("scorer.probe_runs", reqs.size());
-    const auto times = run_batch(reqs);
+    const auto times = service_.run_all(reqs);
 
     const LinearInterpolator inverse(inverse_x_, inverse_y_);
     double sum = 0.0;

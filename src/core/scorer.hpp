@@ -12,7 +12,8 @@
  * the application's aggressiveness as an equivalent bubble pressure —
  * its bubble score. Because masters and slaves can generate different
  * intensities, the probe is placed on every node of the deployment and
- * the scores are averaged (Section 3.4).
+ * the scores are averaged (Section 3.4). Every probe run goes through
+ * a workload::RunService.
  */
 
 #include <vector>
@@ -31,15 +32,13 @@ class BubbleScorer {
      * time when co-located with bubbles at pressures 0..kMaxPressure.
      * All calibration levels (and the probe solo baseline) are
      * submitted as one batch, so with a multi-threaded @p service
-     * they run concurrently — the values are bit-identical either
-     * way (each run derives its seed from its own content).
+     * they run concurrently — the values are bit-identical at any
+     * thread count (each run derives its seed from its own content).
      *
-     * @param service optional measurement backend; nullptr executes
-     *        every run inline on the calling thread. Must outlive
-     *        the scorer.
+     * @param service measurement backend; must outlive the scorer
      */
-    explicit BubbleScorer(workload::RunConfig cfg,
-                          workload::RunService* service = nullptr);
+    BubbleScorer(workload::RunConfig cfg,
+                 workload::RunService& service);
 
     /**
      * Bubble score of an application deployed on @p nodes: the mean,
@@ -62,12 +61,8 @@ class BubbleScorer {
                   const std::vector<sim::NodeId>& nodes,
                   sim::NodeId node) const;
 
-    /** Run a batch through the service, or inline without one. */
-    std::vector<double>
-    run_batch(const std::vector<workload::RunRequest>& reqs) const;
-
     workload::RunConfig cfg_;
-    workload::RunService* service_ = nullptr;
+    workload::RunService& service_;
     double probe_solo_time_ = 0.0;
     std::vector<double> degradation_; // index = pressure 0..max
     std::vector<double> inverse_x_;   // strictly increasing degradation

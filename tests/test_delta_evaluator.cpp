@@ -44,7 +44,8 @@ fast_opts()
 ModelRegistry&
 shared_registry()
 {
-    static ModelRegistry registry(fast_cfg(), fast_opts());
+    static RunService service(1);
+    static ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     return registry;
 }
 

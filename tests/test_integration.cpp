@@ -33,11 +33,14 @@ fast_cfg()
 ModelRegistry&
 shared_registry()
 {
-    static ModelRegistry registry(fast_cfg(), [] {
-        ModelBuildOptions opts;
-        opts.policy_samples = 10;
-        return opts;
-    }());
+    static RunService service(1);
+    static ModelRegistry registry(fast_cfg(),
+                                  [] {
+                                      ModelBuildOptions opts;
+                                      opts.policy_samples = 10;
+                                      return opts;
+                                  }(),
+                                  &service);
     return registry;
 }
 
@@ -106,18 +109,19 @@ TEST(Integration, ProfilingAlgorithmsAgreeOnRealApp)
     const auto nodes = all_nodes(cfg.cluster);
 
     ProfileOptions opts;
+    RunService service(1);
     CountingMeasure truth_m(
-        make_cluster_measure(app, nodes, cfg, opts.grid));
+        make_cluster_measure(app, nodes, cfg, opts.grid, service));
     const auto truth = profile_exhaustive(truth_m, opts);
 
     CountingMeasure brute_m(
-        make_cluster_measure(app, nodes, cfg, opts.grid));
+        make_cluster_measure(app, nodes, cfg, opts.grid, service));
     const auto brute = profile_binary_brute(brute_m, opts);
     CountingMeasure opt_m(
-        make_cluster_measure(app, nodes, cfg, opts.grid));
+        make_cluster_measure(app, nodes, cfg, opts.grid, service));
     const auto optimized = profile_binary_optimized(opt_m, opts);
     CountingMeasure rnd_m(
-        make_cluster_measure(app, nodes, cfg, opts.grid));
+        make_cluster_measure(app, nodes, cfg, opts.grid, service));
     const auto random30 =
         profile_random(rnd_m, opts, 0.3, Rng(5));
 

@@ -40,7 +40,8 @@ fast_opts()
 
 TEST(ModelRegistry, BuildsAndCachesModels)
 {
-    ModelRegistry registry(fast_cfg(), fast_opts());
+    RunService service(1);
+    ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     const auto& app = find_app("M.zeus");
     const auto& first = registry.model(app, 4);
     const auto& second = registry.model(app, 4);
@@ -53,7 +54,8 @@ TEST(ModelRegistry, BuildsAndCachesModels)
 
 TEST(ModelRegistry, DistinctDeploymentSizesAreDistinctModels)
 {
-    ModelRegistry registry(fast_cfg(), fast_opts());
+    RunService service(1);
+    ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     const auto& app = find_app("M.zeus");
     const auto& four = registry.model(app, 4);
     const auto& eight = registry.model(app, 8);
@@ -63,7 +65,8 @@ TEST(ModelRegistry, DistinctDeploymentSizesAreDistinctModels)
 
 TEST(ModelRegistry, ProfileCostBelowExhaustive)
 {
-    ModelRegistry registry(fast_cfg(), fast_opts());
+    RunService service(1);
+    ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     const auto& built = registry.model(find_app("M.milc"), 8);
     EXPECT_GT(built.profile_cost, 0.0);
     EXPECT_LT(built.profile_cost, 0.7);
@@ -71,7 +74,8 @@ TEST(ModelRegistry, ProfileCostBelowExhaustive)
 
 TEST(ModelRegistry, PolicyFitsCoverAllFourPolicies)
 {
-    ModelRegistry registry(fast_cfg(), fast_opts());
+    RunService service(1);
+    ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     const auto& built = registry.model(find_app("H.KM"), 4);
     ASSERT_EQ(built.policy_fits.size(), 4u);
     for (const auto& fit : built.policy_fits)
@@ -80,7 +84,8 @@ TEST(ModelRegistry, PolicyFitsCoverAllFourPolicies)
 
 TEST(ModelRegistry, BubbleScoreRoughlyMatchesCalibrationTarget)
 {
-    ModelRegistry registry(fast_cfg(), fast_opts());
+    RunService service(1);
+    ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     // Gentle and aggressive applications must be separated.
     const double km =
         registry.model(find_app("H.KM"), 4).model.bubble_score();
@@ -92,7 +97,8 @@ TEST(ModelRegistry, BubbleScoreRoughlyMatchesCalibrationTarget)
 
 TEST(ModelRegistry, MatrixColumnZeroIsUnity)
 {
-    ModelRegistry registry(fast_cfg(), fast_opts());
+    RunService service(1);
+    ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     const auto& built = registry.model(find_app("M.lmps"), 4);
     for (int p = 1; p <= built.model.matrix().pressure_levels(); ++p)
         EXPECT_DOUBLE_EQ(built.model.matrix().at(p, 0), 1.0);
@@ -100,9 +106,16 @@ TEST(ModelRegistry, MatrixColumnZeroIsUnity)
 
 TEST(ModelRegistry, DeploymentSizeValidated)
 {
-    ModelRegistry registry(fast_cfg(), fast_opts());
+    RunService service(1);
+    ModelRegistry registry(fast_cfg(), fast_opts(), &service);
     EXPECT_THROW(registry.model(find_app("M.lmps"), 0), imc::ConfigError);
     EXPECT_THROW(registry.model(find_app("M.lmps"), 99), imc::ConfigError);
+}
+
+TEST(ModelRegistry, RejectsNullService)
+{
+    EXPECT_THROW(ModelRegistry(fast_cfg(), fast_opts(), nullptr),
+                 imc::ConfigError);
 }
 
 TEST(RunProfiler, DispatchesAllAlgorithms)

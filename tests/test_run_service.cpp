@@ -290,9 +290,10 @@ TEST(ProfilerEquivalence, AllAlgorithmsBitIdenticalSerialVsParallel)
         const std::uint64_t seed = hash_combine(
             cfg.seed, hash_string(to_string(algorithm)));
 
-        // Reference: the plain serial measurement path.
+        // Reference: a 1-thread service without the prefetch hook.
+        RunService reference(1);
         CountingMeasure serial(
-            make_cluster_measure(app, nodes, cfg, opts.grid));
+            make_cluster_measure(app, nodes, cfg, opts.grid, reference));
         const auto want = run_profiler(algorithm, serial, opts, seed);
 
         for (int threads : {1, 4}) {
@@ -318,19 +319,20 @@ TEST(ScorerEquivalence, CalibrationAndScoresBitIdentical)
 {
     const auto cfg = fast_cfg();
     const auto nodes = first_nodes(4);
-    const BubbleScorer direct(cfg);
+    RunService reference_service(1);
+    const BubbleScorer reference(cfg, reference_service);
     for (int threads : {1, 4}) {
         RunService service(threads);
-        const BubbleScorer scored(cfg, &service);
+        const BubbleScorer scored(cfg, service);
         ASSERT_EQ(scored.calibration().size(),
-                  direct.calibration().size());
-        for (std::size_t i = 0; i < direct.calibration().size(); ++i)
+                  reference.calibration().size());
+        for (std::size_t i = 0; i < reference.calibration().size(); ++i)
             EXPECT_EQ(scored.calibration()[i],
-                      direct.calibration()[i]);
+                      reference.calibration()[i]);
         for (const char* abbrev : {"M.zeus", "C.libq", "H.KM"}) {
             const auto& app = find_app(abbrev);
             EXPECT_EQ(scored.score(app, nodes),
-                      direct.score(app, nodes))
+                      reference.score(app, nodes))
                 << abbrev << " threads=" << threads;
         }
     }
@@ -342,8 +344,9 @@ TEST(RegistryEquivalence, ModelsBitIdenticalWithAndWithoutService)
     ModelBuildOptions opts;
     opts.policy_samples = 8;
 
-    ModelRegistry direct(cfg, opts);
-    const auto& want = direct.model(find_app("M.zeus"), 4);
+    RunService reference_service(1);
+    ModelRegistry reference(cfg, opts, &reference_service);
+    const auto& want = reference.model(find_app("M.zeus"), 4);
 
     for (int threads : {1, 4}) {
         RunService service(threads);
@@ -366,13 +369,14 @@ TEST(RegistryEquivalence, PrefetchBuildsTheSameModelsAsSerialCalls)
                                     find_app("H.KM"),
                                     find_app("C.libq")};
 
-    ModelRegistry direct(cfg, opts);
+    RunService reference_service(1);
+    ModelRegistry reference(cfg, opts, &reference_service);
     RunService service(4);
     ModelRegistry registry(cfg, opts, &service);
     registry.prefetch(apps, 4);
 
     for (const auto& app : apps) {
-        const auto& want = direct.model(app, 4);
+        const auto& want = reference.model(app, 4);
         const auto& got = registry.model(app, 4);
         SCOPED_TRACE(app.abbrev);
         expect_same_matrix(got.model.matrix(), want.model.matrix());
@@ -392,12 +396,13 @@ TEST(ModelDiskCache, RoundTripsAcrossRegistries)
             .string();
     std::filesystem::remove_all(opts.model_cache_dir);
 
-    ModelRegistry first(cfg, opts);
+    RunService service(1);
+    ModelRegistry first(cfg, opts, &service);
     const auto& built = first.model(find_app("M.zeus"), 4);
     EXPECT_FALSE(built.from_disk_cache);
     EXPECT_FALSE(std::filesystem::is_empty(opts.model_cache_dir));
 
-    ModelRegistry second(cfg, opts);
+    ModelRegistry second(cfg, opts, &service);
     const auto& reloaded = second.model(find_app("M.zeus"), 4);
     EXPECT_TRUE(reloaded.from_disk_cache);
     expect_same_matrix(reloaded.model.matrix(), built.model.matrix());
@@ -422,13 +427,14 @@ TEST(ModelDiskCache, DifferentConfigurationsDoNotShareEntries)
             .string();
     std::filesystem::remove_all(opts.model_cache_dir);
 
-    ModelRegistry first(cfg, opts);
+    RunService service(1);
+    ModelRegistry first(cfg, opts, &service);
     first.model(find_app("M.zeus"), 4);
 
     // A different seed must profile fresh, not reuse the cached file.
     auto other_cfg = cfg;
     other_cfg.seed = cfg.seed + 1;
-    ModelRegistry second(other_cfg, opts);
+    ModelRegistry second(other_cfg, opts, &service);
     EXPECT_FALSE(second.model(find_app("M.zeus"), 4).from_disk_cache);
 
     std::filesystem::remove_all(opts.model_cache_dir);

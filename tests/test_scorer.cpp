@@ -27,7 +27,8 @@ fast_cfg()
 const BubbleScorer&
 shared_scorer()
 {
-    static const BubbleScorer scorer(fast_cfg());
+    static RunService service(1);
+    static const BubbleScorer scorer(fast_cfg(), service);
     return scorer;
 }
 
