@@ -56,7 +56,8 @@ main(int argc, char** argv)
     for (const auto& mix : qos_mixes()) {
         const auto instances = instantiate(mix, cfg.cluster);
         const ModelEvaluator model_eval(registry, instances);
-        const NaiveEvaluator naive_eval(registry, instances);
+        const ModelEvaluator naive_eval(registry, instances,
+                                        Predictor::kNaive);
 
         struct Variant {
             const char* name;

@@ -85,7 +85,8 @@ main(int argc, char** argv)
     for (const auto& mix : mixes) {
         const auto instances = instantiate(mix, cfg.cluster);
         const ModelEvaluator model_eval(registry, instances);
-        const NaiveEvaluator naive_eval(registry, instances);
+        const ModelEvaluator naive_eval(registry, instances,
+                                        Predictor::kNaive);
 
         auto search = [&](const Evaluator& evaluator, Goal goal,
                           const char* tag) {

@@ -5,8 +5,8 @@
  * @file
  * Stateful incremental scoring of a placement under unit swaps.
  *
- * The annealing and greedy searches mutate a placement one swap at a
- * time; re-predicting every instance per proposal costs
+ * The annealer and the scheduler's polish mutate a placement one swap
+ * at a time; re-predicting every instance per proposal costs
  * O(instances x nodes) even though a swap only perturbs the pressure
  * lists of the instances sharing the two affected nodes. A DeltaScorer
  * owns one placement plus per-node tenant lists, per-instance pressure

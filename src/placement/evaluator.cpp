@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "bubble/bubble.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
@@ -47,52 +46,13 @@ Evaluator::pop_instance_swap(int)
         "Evaluator::pop_instance_swap: dynamic path not supported");
 }
 
-std::vector<double>
-Evaluator::delta_predict(const Placement& placement,
-                         const UnitSwap& swap,
-                         std::vector<double> times) const
-{
-    if (!supports_delta())
-        return predict(placement);
-    require(times.size() ==
-                static_cast<std::size_t>(placement.num_instances()),
-            "delta_predict: baseline time count mismatch");
-    // Post-swap, the two swapped units sit on the two affected nodes,
-    // so both node ids are recoverable from the swap itself. Only
-    // instances with a unit on one of them can see a changed pressure
-    // entry; each such instance is re-scored from a pressure list
-    // rebuilt exactly as Placement::pressure_lists builds it, keeping
-    // the result bit-identical to a full predict().
-    const sim::NodeId node_a =
-        placement.node_of(swap.instance_a, swap.unit_a);
-    const sim::NodeId node_b =
-        placement.node_of(swap.instance_b, swap.unit_b);
-    const auto& bubble_scores = scores();
-    for (int i = 0; i < placement.num_instances(); ++i) {
-        if (!placement.occupies(i, node_a) &&
-            !placement.occupies(i, node_b))
-            continue;
-        std::vector<double> list;
-        for (sim::NodeId node : placement.nodes_of(i)) {
-            std::vector<double> partner_scores;
-            for (int other : placement.co_tenants(i, node))
-                partner_scores.push_back(
-                    bubble_scores[static_cast<std::size_t>(other)]);
-            list.push_back(bubble::combine_pressures(partner_scores));
-        }
-        times[static_cast<std::size_t>(i)] = predict_instance(i, list);
-    }
-    return times;
-}
-
 ModelEvaluator::ModelEvaluator(core::ModelRegistry& registry,
-                               const std::vector<Instance>& instances)
-    : registry_(&registry)
+                               const std::vector<Instance>& instances,
+                               Predictor predictor)
+    : registry_(&registry), predictor_(predictor)
 {
-    for (const auto& inst : instances) {
-        models_.push_back(&registry.model(inst.app, inst.units));
-        scores_.push_back(models_.back()->model.bubble_score());
-    }
+    for (const auto& inst : instances)
+        ModelEvaluator::push_instance(inst);
 }
 
 void
@@ -124,7 +84,7 @@ ModelEvaluator::predict(const Placement& placement) const
     std::vector<double> out;
     out.reserve(models_.size());
     for (std::size_t i = 0; i < models_.size(); ++i)
-        out.push_back(models_[i]->model.predict(lists[i]));
+        out.push_back(predict_instance(static_cast<int>(i), lists[i]));
     return out;
 }
 
@@ -132,62 +92,11 @@ double
 ModelEvaluator::predict_instance(
     int instance, const std::vector<double>& pressures) const
 {
-    return models_.at(static_cast<std::size_t>(instance))
-        ->model.predict(pressures);
-}
-
-NaiveEvaluator::NaiveEvaluator(core::ModelRegistry& registry,
-                               const std::vector<Instance>& instances)
-    : registry_(&registry)
-{
-    for (const auto& inst : instances) {
-        models_.push_back(&registry.model(inst.app, inst.units));
-        scores_.push_back(models_.back()->model.bubble_score());
-    }
-}
-
-void
-NaiveEvaluator::push_instance(const Instance& inst)
-{
-    models_.push_back(&registry_->model(inst.app, inst.units));
-    scores_.push_back(models_.back()->model.bubble_score());
-}
-
-void
-NaiveEvaluator::pop_instance_swap(int instance)
-{
-    const auto idx = static_cast<std::size_t>(instance);
-    require(idx < models_.size(),
-            "NaiveEvaluator::pop_instance_swap: instance out of range");
-    models_[idx] = models_.back();
-    models_.pop_back();
-    scores_[idx] = scores_.back();
-    scores_.pop_back();
-}
-
-std::vector<double>
-NaiveEvaluator::predict(const Placement& placement) const
-{
-    require(placement.num_instances() ==
-                static_cast<int>(models_.size()),
-            "NaiveEvaluator: instance count mismatch");
-    const auto lists = placement.pressure_lists(scores_);
-    std::vector<double> out;
-    out.reserve(models_.size());
-    for (std::size_t i = 0; i < models_.size(); ++i) {
-        out.push_back(
-            core::predict_naive(models_[i]->model.matrix(), lists[i]));
-    }
-    return out;
-}
-
-double
-NaiveEvaluator::predict_instance(
-    int instance, const std::vector<double>& pressures) const
-{
-    return core::predict_naive(
-        models_.at(static_cast<std::size_t>(instance))->model.matrix(),
-        pressures);
+    const core::InterferenceModel& model =
+        models_.at(static_cast<std::size_t>(instance))->model;
+    return predictor_ == Predictor::kModel
+               ? model.predict(pressures)
+               : core::predict_naive(model.matrix(), pressures);
 }
 
 std::vector<double>

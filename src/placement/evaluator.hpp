@@ -7,17 +7,17 @@
  *
  * The search algorithms score candidate placements through an
  * Evaluator returning each instance's predicted normalized execution
- * time. Two predictors mirror the paper's comparison: ModelEvaluator
- * uses the full interference model (propagation matrix + per-app
- * heterogeneity policy); NaiveEvaluator uses the naive proportional
- * model. measure_actual() runs a placement on the simulated cluster —
- * the "real machine" ground truth the paper's figures report.
+ * time. ModelEvaluator applies either of the two predictors the paper
+ * compares: the full interference model (propagation matrix +
+ * per-app heterogeneity policy) or the naive proportional model.
+ * measure_actual() runs a placement on the simulated cluster — the
+ * "real machine" ground truth the paper's figures report.
  *
- * Both predictors also expose the *incremental* interface consumed by
- * the search hot loops (DeltaScorer, annealer, greedy): a swap of two
- * units only perturbs the pressure lists of instances touching the two
- * affected nodes, so delta_predict() re-scores that handful of
- * instances instead of the whole placement.
+ * ModelEvaluator also exposes the per-instance interface that
+ * DeltaScorer drives for the search hot loops (annealer, scheduler):
+ * a swap of two units only perturbs the pressure lists of instances
+ * touching the two affected nodes, so only that handful of instances
+ * is re-scored through predict_instance().
  */
 
 #include <memory>
@@ -97,36 +97,28 @@ class Evaluator {
      * @pre supports_dynamic()
      */
     virtual void pop_instance_swap(int instance);
-
-    /**
-     * Incrementally updated predictions after a unit swap.
-     *
-     * Only instances with a unit on one of the two affected nodes are
-     * re-scored; everyone else's prediction is untouched — the delta
-     * invariant (see DESIGN.md). Falls back to a full predict() when
-     * supports_delta() is false.
-     *
-     * @param placement the placement with @p swap already applied
-     * @param swap      the swap that was applied
-     * @param times     predictions for the pre-swap placement
-     * @return          predictions for @p placement, bit-identical to
-     *                  a fresh predict(placement)
-     */
-    std::vector<double> delta_predict(const Placement& placement,
-                                      const UnitSwap& swap,
-                                      std::vector<double> times) const;
 };
 
-/** Full interference-model predictor. */
-class ModelEvaluator : public Evaluator {
+/** The per-instance predictor a ModelEvaluator applies. */
+enum class Predictor {
+    /** Full interference model (propagation matrix + policy). */
+    kModel,
+    /** Naive proportional model (Sections 2.2 / 5.2). */
+    kNaive,
+};
+
+/** Predictor over the registry's per-app models. */
+class ModelEvaluator final : public Evaluator {
   public:
     /**
      * @param registry model source (profiles on first use)
      * @param instances instances of the placements to be evaluated
      *        (models are fetched at each instance's deployment size)
+     * @param predictor which model turns pressures into times
      */
     ModelEvaluator(core::ModelRegistry& registry,
-                   const std::vector<Instance>& instances);
+                   const std::vector<Instance>& instances,
+                   Predictor predictor = Predictor::kModel);
 
     std::vector<double>
     predict(const Placement& placement) const override;
@@ -149,36 +141,7 @@ class ModelEvaluator : public Evaluator {
 
   private:
     core::ModelRegistry* registry_;
-    std::vector<const core::BuiltModel*> models_;
-    std::vector<double> scores_;
-};
-
-/** Naive proportional-model predictor (Sections 2.2 / 5.2). */
-class NaiveEvaluator : public Evaluator {
-  public:
-    NaiveEvaluator(core::ModelRegistry& registry,
-                   const std::vector<Instance>& instances);
-
-    std::vector<double>
-    predict(const Placement& placement) const override;
-
-    bool supports_delta() const override { return true; }
-
-    const std::vector<double>& scores() const override
-    {
-        return scores_;
-    }
-
-    double
-    predict_instance(int instance,
-                     const std::vector<double>& pressures) const override;
-
-    bool supports_dynamic() const override { return true; }
-    void push_instance(const Instance& inst) override;
-    void pop_instance_swap(int instance) override;
-
-  private:
-    core::ModelRegistry* registry_;
+    Predictor predictor_;
     std::vector<const core::BuiltModel*> models_;
     std::vector<double> scores_;
 };

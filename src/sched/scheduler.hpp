@@ -103,10 +103,10 @@ class SchedulerCore {
      * An empty scheduler over an idle cluster.
      *
      * @param evaluator predictor; must support the delta and dynamic
-     *        paths (ModelEvaluator / NaiveEvaluator do). Outlives the
-     *        core. The core pushes/pops instances on it as apps come
-     *        and go — do not share it with another consumer that
-     *        assumes a fixed app list.
+     *        paths (ModelEvaluator does, with either predictor).
+     *        Outlives the core. The core pushes/pops instances on it
+     *        as apps come and go — do not share it with another
+     *        consumer that assumes a fixed app list.
      */
     SchedulerCore(placement::Evaluator& evaluator, int num_nodes,
                   int slots_per_node, SchedOptions opts);

@@ -2,11 +2,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <ostream>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace imc::sim {
 
@@ -106,25 +104,6 @@ Timeline::canonical_bytes() const
         put_double(out, c.release);
     }
     return out;
-}
-
-void
-Timeline::write_text(std::ostream& os) const
-{
-    os << "timeline ranks=" << ranks_ << " iters=" << iters_ << '\n';
-    for (int r = 0; r < ranks_; ++r) {
-        if (absent(r)) {
-            os << r << " absent\n";
-            continue;
-        }
-        const int n = stamped_iters(r);
-        for (int k = 0; k < n; ++k) {
-            const TimelineCell& c = cell(r, k);
-            os << r << ' ' << k << ' ' << fmt_fixed(c.compute_start, 6)
-               << ' ' << fmt_fixed(c.compute_end, 6) << ' '
-               << fmt_fixed(c.release, 6) << '\n';
-        }
-    }
 }
 
 void

@@ -26,7 +26,6 @@
  * tests/test_delaywave.cpp, which also pins them to recorded digests).
  */
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -74,10 +73,6 @@ class Timeline {
      * are bit-identical.
      */
     std::string canonical_bytes() const;
-
-    /** Human-readable dump: one "rank iter start end release" line
-     *  per stamped cell, absent ranks flagged. */
-    void write_text(std::ostream& os) const;
 
   private:
     int ranks_ = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests of the 18-application catalog (the paper's Table 1).
+ * Tests of the 18-application catalog (the paper's Table 1), the
+ * bubble demand mapping, and the multi-tenant pressure combination.
  */
 
 #include <gtest/gtest.h>
@@ -131,4 +132,36 @@ TEST(Bubble, ContinuousScoreMapsBetweenLevels)
     const auto hi = bubble::bubble_demand(4.0);
     EXPECT_GT(mid.gen_mb, lo.gen_mb);
     EXPECT_LT(mid.gen_mb, hi.gen_mb);
+}
+
+TEST(CombinePressures, EmptyAndSingle)
+{
+    EXPECT_DOUBLE_EQ(bubble::combine_pressures({}), 0.0);
+    EXPECT_DOUBLE_EQ(bubble::combine_pressures({0.0, 0.0}), 0.0);
+    EXPECT_DOUBLE_EQ(bubble::combine_pressures({3.7}), 3.7);
+    EXPECT_DOUBLE_EQ(bubble::combine_pressures({0.0, 3.7, 0.0}), 3.7);
+}
+
+TEST(CombinePressures, DemandAdditive)
+{
+    const double combined = bubble::combine_pressures({3.0, 3.0});
+    // The combined bubble must generate the sum of the parts.
+    const double want = 2.0 * bubble::bubble_demand(3.0).gen_mb;
+    EXPECT_NEAR(bubble::bubble_demand(combined).gen_mb, want, 1e-6);
+    // And it must exceed either constituent.
+    EXPECT_GT(combined, 3.0);
+}
+
+TEST(CombinePressures, MonotoneInParts)
+{
+    const double small = bubble::combine_pressures({2.0, 1.0});
+    const double large = bubble::combine_pressures({2.0, 4.0});
+    EXPECT_GT(large, small);
+}
+
+TEST(CombinePressures, ManyHeavyTenantsSaturateAtCap)
+{
+    const double c = bubble::combine_pressures({8, 8, 8, 8, 8, 8});
+    EXPECT_LE(c, 16.0 + 1e-9);
+    EXPECT_GT(c, 8.0);
 }

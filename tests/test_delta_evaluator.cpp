@@ -2,9 +2,9 @@
  * @file
  * Equivalence property tests for the incremental delta-evaluation
  * path: over randomized placements and swap sequences, the cached
- * predictions maintained by Evaluator::delta_predict() and DeltaScorer
- * must match a fresh full predict() to 1e-12 (they are in fact
- * bit-identical), including the undo/reject paths the annealer takes.
+ * predictions maintained by DeltaScorer must match a fresh full
+ * predict() to 1e-12 (they are in fact bit-identical), including the
+ * undo/reject paths the annealer takes.
  */
 
 #include <gtest/gtest.h>
@@ -92,31 +92,6 @@ expect_times_match(const std::vector<double>& incremental,
 }
 
 /**
- * Drive @p sequences randomized swap sequences of @p swaps swaps each
- * through delta_predict(), checking against a full predict() at every
- * step.
- */
-void
-check_delta_predict(const Evaluator& eval, int sequences, int swaps,
-                    std::uint64_t seed)
-{
-    Rng rng(seed);
-    for (int s = 0; s < sequences; ++s) {
-        auto placement = Placement::random(
-            mix_instances(), sim::ClusterSpec::private8(), rng);
-        auto times = eval.predict(placement);
-        for (int k = 0; k < swaps; ++k) {
-            const auto swap = random_valid_swap(placement, rng);
-            placement.swap_units(swap.instance_a, swap.unit_a,
-                                 swap.instance_b, swap.unit_b);
-            times = eval.delta_predict(placement, swap,
-                                       std::move(times));
-            expect_times_match(times, eval.predict(placement));
-        }
-    }
-}
-
-/**
  * Drive a DeltaScorer through randomized apply/undo walks (the
  * annealer's accept/reject pattern), checking times() and total_time()
  * against the full path after every step.
@@ -172,18 +147,6 @@ class PlainEvaluator : public Evaluator {
 
 } // namespace
 
-TEST(DeltaEvaluator, ModelEvaluatorMatchesFullPredict)
-{
-    ModelEvaluator eval(shared_registry(), mix_instances());
-    check_delta_predict(eval, 60, 12, 1001);
-}
-
-TEST(DeltaEvaluator, NaiveEvaluatorMatchesFullPredict)
-{
-    NaiveEvaluator eval(shared_registry(), mix_instances());
-    check_delta_predict(eval, 60, 12, 2002);
-}
-
 TEST(DeltaScorerWalk, ModelEvaluatorApplyUndoMatchesFullPredict)
 {
     ModelEvaluator eval(shared_registry(), mix_instances());
@@ -192,7 +155,8 @@ TEST(DeltaScorerWalk, ModelEvaluatorApplyUndoMatchesFullPredict)
 
 TEST(DeltaScorerWalk, NaiveEvaluatorApplyUndoMatchesFullPredict)
 {
-    NaiveEvaluator eval(shared_registry(), mix_instances());
+    ModelEvaluator eval(shared_registry(), mix_instances(),
+                        Predictor::kNaive);
     check_scorer_walk(eval, 40, 15, 4004);
 }
 

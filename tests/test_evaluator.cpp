@@ -108,7 +108,8 @@ TEST(NaiveEvaluatorTest, UnderestimatesBarrierCoupledApps)
 {
     const auto instances = mix_instances();
     ModelEvaluator model_eval(shared_registry(), instances);
-    NaiveEvaluator naive_eval(shared_registry(), instances);
+    ModelEvaluator naive_eval(shared_registry(), instances,
+                              Predictor::kNaive);
     // M.milc with the aggressor on all four of its nodes: both agree
     // (j = m). Put the aggressor on ONE node via a mixed pairing
     // instead: model must predict more than naive for the
