@@ -2,8 +2,6 @@
 
 #ifndef IMC_OBS_DISABLED
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -31,16 +29,6 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
-struct Histogram {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    /** buckets[i] counts samples with magnitude in [2^(i-1), 2^i);
-     *  bucket 0 holds samples < 1. */
-    std::array<std::uint64_t, 64> buckets{};
-};
-
 struct TraceEvent {
     std::string name;
     int tid = 0;
@@ -53,12 +41,16 @@ struct TraceEvent {
 /** Hard cap so a runaway trace cannot exhaust memory. */
 constexpr std::size_t kMaxTraceEvents = 1u << 20;
 
+/** Quantiles every histogram exports, as (key, q in [0, 100]). */
+constexpr std::pair<const char*, double> kQuantiles[] = {
+    {"p50", 50.0}, {"p90", 90.0}, {"p99", 99.0}};
+
 struct Registry {
     std::mutex mutex;
     std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>>
         counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, Histogram> histograms;
+    std::map<std::string, LatencyRecorder> histograms;
     std::vector<TraceEvent> events;
     std::uint64_t dropped_events = 0;
     std::map<std::thread::id, int> thread_ids;
@@ -107,16 +99,6 @@ push_event(TraceEvent event)
     }
     event.tid = tid_of_this_thread(r);
     r.events.push_back(std::move(event));
-}
-
-std::size_t
-bucket_of(double value)
-{
-    if (!(value >= 1.0))
-        return 0;
-    const int exp = std::ilogb(value);
-    return std::min<std::size_t>(static_cast<std::size_t>(exp) + 1,
-                                 63);
 }
 
 /** Minimal JSON string escaping (names are plain ASCII in practice). */
@@ -227,23 +209,13 @@ observe(const std::string& name, double value)
 {
     if (!enabled())
         return;
-    if (!std::isfinite(value)) {
-        count("obs.nonfinite_samples");
+    if (!std::isfinite(value) || value < 0.0) {
+        count("obs.rejected_samples");
         return;
     }
     Registry& r = registry();
     const std::lock_guard<std::mutex> lock(r.mutex);
-    Histogram& h = r.histograms[name];
-    if (h.count == 0) {
-        h.min = value;
-        h.max = value;
-    } else {
-        h.min = std::min(h.min, value);
-        h.max = std::max(h.max, value);
-    }
-    ++h.count;
-    h.sum += value;
-    ++h.buckets[bucket_of(std::fabs(value))];
+    r.histograms[name].add(value);
 }
 
 void
@@ -302,16 +274,13 @@ gauge_value(const std::string& name)
     return it != r.gauges.end() ? it->second : 0.0;
 }
 
-HistogramSnapshot
+LatencyRecorder
 histogram_snapshot(const std::string& name)
 {
     Registry& r = registry();
     const std::lock_guard<std::mutex> lock(r.mutex);
     const auto it = r.histograms.find(name);
-    if (it == r.histograms.end())
-        return {};
-    return HistogramSnapshot{it->second.count, it->second.sum,
-                             it->second.min, it->second.max};
+    return it != r.histograms.end() ? it->second : LatencyRecorder{};
 }
 
 std::size_t
@@ -339,14 +308,13 @@ write_metrics_text(std::ostream& os)
     for (const auto& [name, value] : r.gauges)
         os << "gauge " << name << ' ' << json_number(value) << '\n';
     for (const auto& [name, h] : r.histograms) {
-        os << "hist " << name << " count " << h.count << " sum "
-           << json_number(h.sum) << " min " << json_number(h.min)
-           << " max " << json_number(h.max) << " mean "
-           << json_number(h.count > 0
-                              ? h.sum /
-                                    static_cast<double>(h.count)
-                              : 0.0)
-           << '\n';
+        os << "hist " << name << " count " << h.count() << " sum "
+           << json_number(h.sum()) << " min " << json_number(h.min())
+           << " max " << json_number(h.max()) << " mean "
+           << json_number(h.mean());
+        for (const auto& [key, q] : kQuantiles)
+            os << ' ' << key << ' ' << json_number(h.quantile(q));
+        os << '\n';
     }
 }
 
@@ -373,21 +341,13 @@ write_metrics_json(std::ostream& os)
     first = true;
     for (const auto& [name, h] : r.histograms) {
         os << (first ? "" : ",") << "\n    \"" << json_escape(name)
-           << "\": {\"count\": " << h.count
-           << ", \"sum\": " << json_number(h.sum)
-           << ", \"min\": " << json_number(h.min)
-           << ", \"max\": " << json_number(h.max) << ", \"buckets\": [";
-        bool first_bucket = true;
-        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-            if (h.buckets[i] == 0)
-                continue;
-            const double le =
-                i == 0 ? 1.0 : std::ldexp(1.0, static_cast<int>(i));
-            os << (first_bucket ? "" : ", ") << "["
-               << json_number(le) << ", " << h.buckets[i] << "]";
-            first_bucket = false;
-        }
-        os << "]}";
+           << "\": {\"count\": " << h.count()
+           << ", \"sum\": " << json_number(h.sum())
+           << ", \"min\": " << json_number(h.min())
+           << ", \"max\": " << json_number(h.max());
+        for (const auto& [key, q] : kQuantiles)
+            os << ", \"" << key << "\": " << json_number(h.quantile(q));
+        os << "}";
         first = false;
     }
     os << "\n  }\n}\n";

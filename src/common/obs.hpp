@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
+
 namespace imc {
 class Cli;
 }
@@ -119,7 +121,7 @@ inline constexpr const char* kObsNames[] = {
     "sim.proc_reschedules",
     "sim.runs",
     // the obs layer's own health counter (recorded by obs.cpp)
-    "obs.nonfinite_samples",
+    "obs.rejected_samples",
 };
 
 #ifndef IMC_OBS_DISABLED
@@ -140,9 +142,13 @@ void gauge_set(const std::string& name, double value);
 void gauge_max(const std::string& name, double value);
 
 /**
- * Record one sample into the named histogram (count/sum/min/max plus
- * power-of-two magnitude buckets). Non-finite samples are counted in
- * the "obs.nonfinite_samples" counter instead of poisoning the sums.
+ * Record one sample into the named histogram, a LatencyRecorder:
+ * exact count/sum/min/max plus the 2^(1/8) buckets its p50/p90/p99
+ * estimates come from. Each estimate lies in the bucket of one sample,
+ * the order statistic at rank floor(q/100 * (n-1)); with few samples
+ * that can sit far from a percentile interpolated between neighbours
+ * (see LatencyRecorder::quantile). Non-finite or negative samples are
+ * counted in the "obs.rejected_samples" counter instead.
  */
 void observe(const std::string& name, double value);
 
@@ -181,18 +187,8 @@ std::uint64_t counter_value(const std::string& name);
 /** Current value of a gauge (0 when never touched). */
 double gauge_value(const std::string& name);
 
-/** Aggregates of one histogram. */
-struct HistogramSnapshot {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean() const
-    {
-        return count > 0 ? sum / static_cast<double>(count) : 0.0;
-    }
-};
-HistogramSnapshot histogram_snapshot(const std::string& name);
+/** Copy of one histogram (empty when never observed). */
+LatencyRecorder histogram_snapshot(const std::string& name);
 
 /** Trace events recorded so far (complete + counter events). */
 std::size_t trace_event_count();
@@ -251,17 +247,9 @@ class Span {
     explicit Span(const std::string&) {}
 };
 
-struct HistogramSnapshot {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean() const { return 0.0; }
-};
-
 inline std::uint64_t counter_value(const std::string&) { return 0; }
 inline double gauge_value(const std::string&) { return 0.0; }
-inline HistogramSnapshot histogram_snapshot(const std::string&)
+inline LatencyRecorder histogram_snapshot(const std::string&)
 {
     return {};
 }

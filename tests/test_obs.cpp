@@ -238,10 +238,10 @@ TEST_F(ObsTest, HistogramAggregates)
     for (const double v : {1.0, 2.0, 3.0, 10.0})
         obs::observe("t.hist", v);
     const auto snap = obs::histogram_snapshot("t.hist");
-    EXPECT_EQ(snap.count, 4u);
-    EXPECT_DOUBLE_EQ(snap.sum, 16.0);
-    EXPECT_DOUBLE_EQ(snap.min, 1.0);
-    EXPECT_DOUBLE_EQ(snap.max, 10.0);
+    EXPECT_EQ(snap.count(), 4u);
+    EXPECT_DOUBLE_EQ(snap.sum(), 16.0);
+    EXPECT_DOUBLE_EQ(snap.min(), 1.0);
+    EXPECT_DOUBLE_EQ(snap.max(), 10.0);
     EXPECT_DOUBLE_EQ(snap.mean(), 4.0);
 }
 
@@ -249,11 +249,12 @@ TEST_F(ObsTest, NonFiniteSamplesQuarantined)
 {
     obs::observe("t.hist", std::numeric_limits<double>::quiet_NaN());
     obs::observe("t.hist", std::numeric_limits<double>::infinity());
+    obs::observe("t.hist", -1.0);
     obs::observe("t.hist", 1.0);
     const auto snap = obs::histogram_snapshot("t.hist");
-    EXPECT_EQ(snap.count, 1u);
-    EXPECT_DOUBLE_EQ(snap.sum, 1.0);
-    EXPECT_EQ(obs::counter_value("obs.nonfinite_samples"), 2u);
+    EXPECT_EQ(snap.count(), 1u);
+    EXPECT_DOUBLE_EQ(snap.sum(), 1.0);
+    EXPECT_EQ(obs::counter_value("obs.rejected_samples"), 3u);
 }
 
 // The TSan CI job runs this: concurrent writers to the same counter
@@ -298,12 +299,12 @@ TEST_F(ObsTest, HistogramsCorrectUnderConcurrentWriters)
     for (auto& w : writers)
         w.join();
     const auto snap = obs::histogram_snapshot("t.conc_hist");
-    EXPECT_EQ(snap.count,
+    EXPECT_EQ(snap.count(),
               static_cast<std::uint64_t>(kThreads) * kSamples);
-    EXPECT_DOUBLE_EQ(snap.sum, static_cast<double>(snap.count));
+    EXPECT_DOUBLE_EQ(snap.sum(), static_cast<double>(snap.count()));
     EXPECT_DOUBLE_EQ(obs::gauge_value("t.conc_peak"),
                      static_cast<double>(kSamples - 1));
-    EXPECT_EQ(obs::histogram_snapshot("t.conc_span.us").count,
+    EXPECT_EQ(obs::histogram_snapshot("t.conc_span.us").count(),
               static_cast<std::uint64_t>(kThreads) * kSamples);
 }
 
@@ -320,11 +321,11 @@ TEST_F(ObsTest, SpansNestAndFeedHistograms)
     }
     // Three complete events, inner twice.
     EXPECT_EQ(obs::trace_event_count(), 3u);
-    EXPECT_EQ(obs::histogram_snapshot("t.inner.us").count, 2u);
-    EXPECT_EQ(obs::histogram_snapshot("t.outer.us").count, 1u);
+    EXPECT_EQ(obs::histogram_snapshot("t.inner.us").count(), 2u);
+    EXPECT_EQ(obs::histogram_snapshot("t.outer.us").count(), 1u);
     // An enclosing span's duration covers its nested spans'.
-    EXPECT_GE(obs::histogram_snapshot("t.outer.us").sum,
-              obs::histogram_snapshot("t.inner.us").sum);
+    EXPECT_GE(obs::histogram_snapshot("t.outer.us").sum(),
+              obs::histogram_snapshot("t.inner.us").sum());
 }
 
 TEST_F(ObsTest, TraceJsonIsValidAndComplete)
@@ -363,6 +364,9 @@ TEST_F(ObsTest, MetricsJsonIsValid)
     std::ostringstream out;
     obs::write_metrics_json(out);
     EXPECT_TRUE(JsonValidator(out.str()).valid()) << out.str();
+    EXPECT_NE(out.str().find("\"p99\": 3"), std::string::npos)
+        << out.str();
+    EXPECT_EQ(out.str().find("\"buckets\""), std::string::npos);
 }
 
 TEST_F(ObsTest, MetricsTextSortedAndTyped)
@@ -380,7 +384,10 @@ TEST_F(ObsTest, MetricsTextSortedAndTyped)
     ASSERT_NE(b, std::string::npos) << text;
     EXPECT_LT(a, b); // sorted by name
     EXPECT_NE(text.find("gauge t.gauge 2"), std::string::npos);
-    EXPECT_NE(text.find("hist t.hist count 1"), std::string::npos);
+    EXPECT_NE(text.find("hist t.hist count 1 sum 4 min 4 max 4 mean 4 "
+                        "p50 4 p90 4 p99 4\n"),
+              std::string::npos)
+        << text;
 }
 
 TEST_F(ObsTest, DisabledRecordsNothing)
@@ -395,7 +402,7 @@ TEST_F(ObsTest, DisabledRecordsNothing)
     }
     EXPECT_EQ(obs::counter_value("t.off"), 0u);
     EXPECT_DOUBLE_EQ(obs::gauge_value("t.off_gauge"), 0.0);
-    EXPECT_EQ(obs::histogram_snapshot("t.off_hist").count, 0u);
+    EXPECT_EQ(obs::histogram_snapshot("t.off_hist").count(), 0u);
     EXPECT_EQ(obs::trace_event_count(), 0u);
 }
 
@@ -489,6 +496,6 @@ TEST_F(ObsTest, ResetDropsEverything)
     }
     obs::reset();
     EXPECT_EQ(obs::counter_value("t.counter"), 0u);
-    EXPECT_EQ(obs::histogram_snapshot("t.hist").count, 0u);
+    EXPECT_EQ(obs::histogram_snapshot("t.hist").count(), 0u);
     EXPECT_EQ(obs::trace_event_count(), 0u);
 }

@@ -87,7 +87,7 @@ TEST(ProfileExhaustive, ObsSpanAndCountersShareOnePrefix)
     EXPECT_EQ(obs::counter_value("profiler.exhaustive.measured"),
               64u);
     EXPECT_EQ(
-        obs::histogram_snapshot("profiler.exhaustive.us").count, 1u);
+        obs::histogram_snapshot("profiler.exhaustive.us").count(), 1u);
     obs::set_enabled(false);
     obs::reset();
 }

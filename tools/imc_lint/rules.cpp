@@ -1141,7 +1141,7 @@ extract_obs_uses(const LexResult& lex, const std::string& path)
     if (obs_impl) {
         // obs.cpp records through direct calls (it IS the layer);
         // collect literal first arguments so internal names like
-        // obs.nonfinite_samples still participate in the registry
+        // obs.rejected_samples still participate in the registry
         // cross-check.
         static const std::set<std::string> kRecorders = {
             "count", "observe", "gauge_set", "gauge_max",
