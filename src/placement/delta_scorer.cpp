@@ -414,6 +414,24 @@ DeltaScorer::nodes_sorted(int instance) const
     return sorted_nodes_.at(static_cast<std::size_t>(instance));
 }
 
+const std::vector<int>&
+DeltaScorer::last_affected() const
+{
+    invariant(incremental_ && last_.valid,
+              "DeltaScorer::last_affected: no incremental change to "
+              "report");
+    return last_.affected;
+}
+
+const std::vector<double>&
+DeltaScorer::last_old_times() const
+{
+    invariant(incremental_ && last_.valid,
+              "DeltaScorer::last_old_times: no incremental change to "
+              "report");
+    return last_.times;
+}
+
 double
 DeltaScorer::newcomer_pressure(sim::NodeId node) const
 {
@@ -421,14 +439,17 @@ DeltaScorer::newcomer_pressure(sim::NodeId node) const
               "DeltaScorer::newcomer_pressure: incremental mode only");
     const auto& tenants =
         node_tenants_.at(static_cast<std::size_t>(node));
+    // The same fast paths as pressure_at(), without a buffer.
     if (tenants.empty())
         return 0.0;
+    if (tenants.size() == 1) {
+        const double only = scores_[static_cast<std::size_t>(tenants[0])];
+        return only > 0.0 ? only : 0.0;
+    }
     std::vector<double> buf;
     buf.reserve(tenants.size());
     for (int t : tenants)
         buf.push_back(scores_[static_cast<std::size_t>(t)]);
-    if (buf.size() == 1)
-        return buf[0] > 0.0 ? buf[0] : 0.0;
     return bubble::combine_pressures(buf);
 }
 

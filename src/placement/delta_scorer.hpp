@@ -86,6 +86,18 @@ class DeltaScorer {
     void undo();
 
     /**
+     * Instances the last apply()/move_unit() re-scored, ascending.
+     * @pre incremental(), and no undo() or other mutation since
+     */
+    const std::vector<int>& last_affected() const;
+
+    /**
+     * Times of last_affected() before that change, index-aligned
+     * with it. @pre as last_affected()
+     */
+    const std::vector<double>& last_old_times() const;
+
+    /**
      * Start tracking a new instance whose units are already assigned
      * to @p nodes; the instance gets the largest index. The evaluator
      * must already track it (push the evaluator first, then the
