@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <exception>
 #include <string>
 #include <thread>
 #include <utility>
@@ -118,8 +119,12 @@ capture_sweep(const std::vector<Scenario>& batch, int threads)
     }
     // Each capture is a pure function of its scenario (and the armed
     // schedule, itself pure in content keys), so a first-come
-    // work-stealing loop is bit-identical to the serial one.
+    // work-stealing loop is bit-identical to the serial one. Every
+    // scenario runs, so the lowest failing index is always known, and
+    // rethrowing its error matches the serial loop at any thread
+    // count.
     std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(batch.size());
     const auto workers =
         std::min(static_cast<std::size_t>(threads), batch.size());
     std::vector<std::thread> pool;
@@ -127,12 +132,21 @@ capture_sweep(const std::vector<Scenario>& batch, int threads)
     for (std::size_t w = 0; w < workers; ++w) {
         pool.emplace_back([&] {
             for (std::size_t i = next.fetch_add(1); i < batch.size();
-                 i = next.fetch_add(1))
-                out[i] = capture(batch[i]);
+                 i = next.fetch_add(1)) {
+                try {
+                    out[i] = capture(batch[i]);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            }
         });
     }
     for (auto& worker : pool)
         worker.join();
+    for (const auto& e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
     return out;
 }
 

@@ -74,6 +74,9 @@ Capture capture(const Scenario& s);
 /**
  * Capture a batch, in order, on @p threads workers (<= 1 = inline on
  * the calling thread). Results are bit-identical at any thread count.
+ *
+ * @throws the error of the lowest-indexed failing scenario, as the
+ *         serial loop would, at any thread count
  */
 std::vector<Capture> capture_sweep(const std::vector<Scenario>& batch,
                                    int threads);

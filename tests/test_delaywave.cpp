@@ -399,4 +399,23 @@ TEST(Delaywave, RejectsBadScenario)
     s = silent_chain();
     s.period = 0;
     EXPECT_THROW(delaywave::capture(s), ConfigError);
+
+    // A sweep reports the first bad scenario's error at every thread
+    // count, as the serial loop does, instead of terminating.
+    auto no_nodes = silent_chain();
+    no_nodes.nodes = 0;
+    auto no_work = silent_chain();
+    no_work.work = 0.0;
+    const std::vector<delaywave::Scenario> batch = {silent_chain(),
+                                                    no_nodes, no_work};
+    for (const int threads : {1, 2}) {
+        std::string message;
+        try {
+            delaywave::capture_sweep(batch, threads);
+        } catch (const ConfigError& e) {
+            message = e.what();
+        }
+        EXPECT_EQ(message, "delaywave: nodes must be >= 1")
+            << "threads " << threads;
+    }
 }
