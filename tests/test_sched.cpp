@@ -27,6 +27,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/obs.hpp"
 #include "placement/evaluator.hpp"
 #include "sched/replay.hpp"
 #include "sched/scheduler.hpp"
@@ -549,12 +550,26 @@ TEST(SchedReplay, ReplayIsDeterministic)
         ReplayOptions ropts;
         ropts.oracle_iterations = 500;
         ReplayResult first;
+        obs::reset();
+        obs::set_enabled(true);
         {
             ModelEvaluator eval(shared_registry(), {});
             first = replay(trace, eval, ropts);
         }
         ModelEvaluator eval(shared_registry(), {});
         const ReplayResult second = replay(trace, eval, ropts);
+        obs::set_enabled(false);
+#ifndef IMC_OBS_DISABLED
+        // Some polish proposals are too close for the filter alone, so
+        // the pinned answers also cover its full-sum fallback.
+        const std::uint64_t proposals =
+            obs::counter_value("sched.polish.proposals");
+        const std::uint64_t fallbacks =
+            obs::counter_value("sched.polish.filter_fallbacks");
+        EXPECT_GT(fallbacks, 0u);
+        EXPECT_LT(fallbacks, proposals);
+#endif
+        obs::reset();
 
         for (const ReplayResult& r : {std::cref(first), std::cref(second)}) {
             EXPECT_EQ(r.events, pin.events);
