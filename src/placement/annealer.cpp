@@ -73,15 +73,15 @@ struct ChainResult {
 };
 
 ChainResult
-anneal_chain(const Placement& initial, const Evaluator& evaluator,
-             Goal goal, const std::optional<QosConstraint>& qos,
+anneal_chain(Placement initial, const Evaluator& evaluator, Goal goal,
+             const std::optional<QosConstraint>& qos,
              const AnnealOptions& opts, Rng rng)
 {
     IMC_OBS_SPAN(chain_span, "anneal.chain");
     const double direction =
         goal == Goal::MinimizeTotalTime ? 1.0 : -1.0;
 
-    DeltaScorer scorer(evaluator, initial, !opts.use_delta);
+    DeltaScorer scorer(evaluator, std::move(initial), !opts.use_delta);
     Score current_score = score_of(scorer, qos, opts.slo_targets);
     Placement best = scorer.placement();
     Score best_score = current_score;
@@ -184,8 +184,8 @@ anneal(Placement initial, const Evaluator& evaluator, Goal goal,
 
     std::vector<ChainResult> results;
     if (chains == 1) {
-        results.push_back(anneal_chain(initial, evaluator, goal, qos,
-                                       opts, Rng(opts.seed)));
+        results.push_back(anneal_chain(std::move(initial), evaluator,
+                                       goal, qos, opts, Rng(opts.seed)));
     } else {
         // Stream 0 equals the chains=1 stream, so the multi-chain
         // result can never be worse than the single-chain one.
