@@ -10,7 +10,9 @@ namespace imc::placement {
 
 Placement::Placement(std::vector<Instance> instances, int num_nodes,
                      int slots_per_node)
-    : instances_(std::move(instances)), num_nodes_(num_nodes),
+    : instances_(std::make_shared<std::vector<Instance>>(
+          std::move(instances))),
+      num_nodes_(num_nodes),
       slots_per_node_(slots_per_node)
 {
     // An empty instance list is legal: the event-driven scheduler
@@ -19,7 +21,7 @@ Placement::Placement(std::vector<Instance> instances, int num_nodes,
     require(num_nodes_ >= 1, "Placement: need at least one node");
     require(slots_per_node_ >= 1, "Placement: need at least one slot");
     int total_units = 0;
-    for (const auto& inst : instances_) {
+    for (const auto& inst : *instances_) {
         require(inst.units >= 1, "Placement: instance with no units");
         require(inst.units <= num_nodes_,
                 "Placement: instance has more units than nodes");
@@ -52,7 +54,7 @@ Placement::random(std::vector<Instance> instances,
         }
         std::size_t next = 0;
         for (int i = 0; i < p.num_instances(); ++i) {
-            for (int u = 0; u < p.instances_[static_cast<std::size_t>(
+            for (int u = 0; u < p.instances()[static_cast<std::size_t>(
                                                  i)].units; ++u)
                 p.assign(i, u, slots[next++]);
         }
@@ -139,10 +141,10 @@ Placement::occupies(int instance, sim::NodeId node) const
 std::vector<std::vector<double>>
 Placement::pressure_lists(const std::vector<double>& scores) const
 {
-    require(scores.size() == instances_.size(),
+    require(scores.size() == instances_->size(),
             "pressure_lists: score count mismatch");
     std::vector<std::vector<double>> lists;
-    lists.reserve(instances_.size());
+    lists.reserve(instances_->size());
     for (int i = 0; i < num_instances(); ++i) {
         std::vector<double> list;
         for (sim::NodeId node : nodes_of(i)) {
@@ -175,8 +177,16 @@ Placement::push_instance(const Instance& inst,
             require(nodes[a] != nodes[b],
                     "push_instance: instance doubled up on a node");
     }
-    instances_.push_back(inst);
+    own_instances().push_back(inst);
     assignment_.push_back(nodes);
+}
+
+std::vector<Instance>&
+Placement::own_instances()
+{
+    if (instances_.use_count() > 1)
+        instances_ = std::make_shared<std::vector<Instance>>(*instances_);
+    return *instances_;
 }
 
 void
@@ -185,8 +195,9 @@ Placement::remove_instance_swap(int instance)
     require(instance >= 0 && instance < num_instances(),
             "remove_instance_swap: instance out of range");
     const auto idx = static_cast<std::size_t>(instance);
-    instances_[idx] = std::move(instances_.back());
-    instances_.pop_back();
+    std::vector<Instance>& list = own_instances();
+    list[idx] = std::move(list.back());
+    list.pop_back();
     assignment_[idx] = std::move(assignment_.back());
     assignment_.pop_back();
 }
@@ -243,7 +254,7 @@ Placement::to_string() const
                 units.end()) {
                 if (!first)
                     out += ',';
-                out += instances_[static_cast<std::size_t>(i)]
+                out += instances()[static_cast<std::size_t>(i)]
                            .app.abbrev;
                 first = false;
             }

@@ -13,6 +13,7 @@
  * its per-node share).
  */
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,11 @@ class Placement {
     /** Number of instances. */
     int num_instances() const
     {
-        return static_cast<int>(instances_.size());
+        return static_cast<int>(instances_->size());
     }
 
     /** Participating instances. */
-    const std::vector<Instance>& instances() const { return instances_; }
+    const std::vector<Instance>& instances() const { return *instances_; }
 
     /** Cluster node count. */
     int num_nodes() const { return num_nodes_; }
@@ -133,7 +134,15 @@ class Placement {
     std::string to_string() const;
 
   private:
-    std::vector<Instance> instances_;
+    /** instances_, first unshared when a copy still holds it. */
+    std::vector<Instance>& own_instances();
+
+    /**
+     * The instance list, shared by copies of this placement until a
+     * push_instance() or remove_instance_swap() changes one of them:
+     * a search copies placements often but only reassigns units.
+     */
+    std::shared_ptr<std::vector<Instance>> instances_;
     int num_nodes_;
     int slots_per_node_;
     /** assignment_[i][u] = node of unit u of instance i. */

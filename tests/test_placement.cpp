@@ -218,3 +218,22 @@ TEST(Mixes, Hm3ContainsGemsTwice)
     EXPECT_EQ(instances[2].app.abbrev, "M.Gems");
     EXPECT_EQ(instances[3].app.abbrev, "M.Gems");
 }
+
+TEST(Placement, CopiesStayIndependentWhenInstancesChange)
+{
+    // Copies share one instance list until one of them adds or
+    // removes an instance; the others must not see the change.
+    const Placement original = paired();
+    Placement shrunk = original;
+    shrunk.remove_instance_swap(0); // C.libq moves into index 0
+    Placement grown = original;
+    grown.push_instance(Instance{find_app("C.mcf"), 1}, {7});
+
+    ASSERT_EQ(shrunk.num_instances(), 3);
+    EXPECT_EQ(shrunk.instances()[0].app.abbrev, "C.libq");
+    ASSERT_EQ(grown.num_instances(), 5);
+    EXPECT_EQ(grown.instances()[4].app.abbrev, "C.mcf");
+    ASSERT_EQ(original.num_instances(), 4);
+    EXPECT_EQ(original.instances()[0].app.abbrev, "M.milc");
+    EXPECT_EQ(original.to_string(), paired().to_string());
+}
