@@ -233,7 +233,11 @@ class SchedulerCore {
     /** Greedy insertion node choice for one arriving app. */
     std::vector<sim::NodeId> choose_nodes(int new_index, int units);
 
-    /** Bounded hill-climb over the dirty neighborhood. */
+    /**
+     * Bounded hill-climb over the dirty neighborhood. Each proposal is
+     * kept iff it lowers objective(), decided by
+     * placement::filter_change from the instances it re-scored.
+     */
     void polish(const std::vector<sim::NodeId>& dirty);
 
     placement::Evaluator& eval_;
