@@ -48,14 +48,10 @@ main(int argc, char** argv)
         for (const auto& app : workload::distributed_apps())
             abbrevs.push_back(app.abbrev);
     }
-    std::vector<int> pressures;
-    const auto plist = cli.get_list("pressures");
-    if (plist.empty()) {
+    std::vector<int> pressures = cli.get_int_list("pressures");
+    if (pressures.empty()) {
         for (int p = 1; p <= 8; ++p)
             pressures.push_back(p);
-    } else {
-        for (const auto& p : plist)
-            pressures.push_back(std::stoi(p));
     }
 
     const auto nodes = workload::all_nodes(cfg.cluster);

@@ -33,9 +33,7 @@ main(int argc, char** argv)
     std::vector<std::string> abbrevs = cli.get_list("apps");
     if (abbrevs.empty())
         abbrevs = {"M.milc", "M.Gems", "M.zeus", "M.lu"};
-    std::vector<int> pressures;
-    for (const auto& p : cli.get_list("pressures"))
-        pressures.push_back(std::stoi(p));
+    std::vector<int> pressures = cli.get_int_list("pressures");
     if (pressures.empty())
         pressures = {1, 2, 4, 6, 8};
     const std::vector<int> vm_counts{0, 1, 2, 4, 8, 16, 24, 32};

@@ -53,31 +53,6 @@ using namespace imc::workload;
 
 namespace {
 
-std::vector<double>
-double_list(const Cli& cli, const std::string& flag,
-            std::vector<double> def)
-{
-    const auto items = cli.get_list(flag);
-    if (items.empty())
-        return def;
-    std::vector<double> out;
-    for (const auto& item : items)
-        out.push_back(std::stod(item));
-    return out;
-}
-
-std::vector<int>
-int_list(const Cli& cli, const std::string& flag, std::vector<int> def)
-{
-    const auto items = cli.get_list(flag);
-    if (items.empty())
-        return def;
-    std::vector<int> out;
-    for (const auto& item : items)
-        out.push_back(std::stoi(item));
-    return out;
-}
-
 std::string
 fmt_len(double len)
 {
@@ -145,16 +120,23 @@ main(int argc, char** argv)
     const double decay_band = cli.get_double("decay-band", 2.0);
     const int inject_iter = 4;
 
-    const auto periods = int_list(cli, "periods", {1, 3});
-    const auto sigmas = double_list(cli, "sigmas", {0.0, 0.1, 0.2});
+    auto periods = cli.get_int_list("periods");
+    if (periods.empty())
+        periods = {1, 3};
+    auto sigmas = cli.get_double_list("sigmas");
+    if (sigmas.empty())
+        sigmas = {0.0, 0.1, 0.2};
     // Default delays sit well above each sigma's per-period noise
     // scale: the estimator needs a few coherent hops before the wave
     // falls under half the injected delay, so delay / (sigma * work)
     // below ~10 leaves too few ranks to fit (DESIGN.md #11).
-    const auto delays = double_list(cli, "delays", {0.3, 0.6});
+    auto delays = cli.get_double_list("delays");
+    if (delays.empty())
+        delays = {0.3, 0.6};
     const int total_ranks = delaywave::ranks(proto);
-    const auto inject_ranks = int_list(
-        cli, "inject-ranks", {total_ranks / 4, total_ranks / 2});
+    auto inject_ranks = cli.get_int_list("inject-ranks");
+    if (inject_ranks.empty())
+        inject_ranks = {total_ranks / 4, total_ranks / 2};
     require(seeds >= 1, "fig_delaywave: --seeds must be >= 1");
     for (const int rank : inject_ranks)
         require(rank >= 0 && rank < total_ranks,

@@ -20,12 +20,12 @@
 
 #include <chrono>
 #include <iostream>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "common/fault.hpp"
 #include "common/obs.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "placement/annealer.hpp"
@@ -56,12 +56,9 @@ run(int argc, char** argv)
                        std::to_string(cfg.cluster.num_nodes);
     const int iters = cli.get_int("iters", 20000);
     const int runs = cli.get_int("runs", 3);
-    int chains = cli.get_int("chains", 0);
-    if (chains == 0) {
-        chains = static_cast<int>(std::thread::hardware_concurrency());
-        if (chains < 1)
-            chains = 1;
-    }
+    const int chains_flag = cli.get_int("chains", 0);
+    require(chains_flag >= 0, "--chains must be >= 0");
+    const int chains = resolve_threads(chains_flag);
 
     // 8 four-unit applications: 32 units on 32 slots (full cluster),
     // mixing BSP, task-pool, and batch workloads.

@@ -30,13 +30,13 @@
 
 #include <chrono>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/fault.hpp"
 #include "common/obs.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
@@ -81,13 +81,9 @@ run(int argc, char** argv)
     const auto cfg = benchutil::config_from_cli(cli);
     const double epsilon = cli.get_double("epsilon", 0.05);
     const auto apps = benchutil::apps_from_cli(cli);
-    int threads = cli.get_int("threads", 4);
-    if (threads == 0) {
-        threads =
-            static_cast<int>(std::thread::hardware_concurrency());
-        if (threads < 1)
-            threads = 1;
-    }
+    const int threads_flag = cli.get_int("threads", 4);
+    require(threads_flag >= 0, "--threads must be >= 0");
+    const int threads = resolve_threads(threads_flag);
 
     // The session's three consumers. Each runs the same campaign the
     // real harness runs; they only differ in which column of the

@@ -168,9 +168,7 @@ cmd_predict(const Cli& cli)
 {
     const auto model =
         core::load_model_file(cli.get("model", "model.txt"));
-    std::vector<double> pressures;
-    for (const auto& p : cli.get_list("pressures"))
-        pressures.push_back(std::stod(p));
+    const auto pressures = cli.get_double_list("pressures");
     if (pressures.empty()) {
         std::cerr << "predict: --pressures p1,p2,... required\n";
         return 2;

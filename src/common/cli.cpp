@@ -25,8 +25,8 @@ bad_value(const std::string& flag, const std::string& value,
                       ", got '" + value + "'");
 }
 
-long long
-parse_ll(const std::string& flag, const std::string& v)
+int
+parse_int(const std::string& flag, const std::string& v)
 {
     errno = 0;
     char* end = nullptr;
@@ -36,6 +36,23 @@ parse_ll(const std::string& flag, const std::string& v)
     const long long parsed = std::strtoll(v.c_str(), &end, 10);
     if (end == v.c_str() || *end != '\0' || errno == ERANGE)
         bad_value(flag, v, "an integer");
+    if (parsed < std::numeric_limits<int>::min() ||
+        parsed > std::numeric_limits<int>::max())
+        bad_value(flag, v, "an int-range integer");
+    return static_cast<int>(parsed);
+}
+
+double
+parse_double(const std::string& flag, const std::string& v)
+{
+    errno = 0;
+    char* end = nullptr;
+    // imc-lint: allow(banned-number-parse): this IS the strict
+    // parser the rule points everyone at — endptr + errno checked,
+    // trailing garbage rejected, errors name the flag.
+    const double parsed = std::strtod(v.c_str(), &end);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE)
+        bad_value(flag, v, "a number");
     return parsed;
 }
 
@@ -86,30 +103,14 @@ int
 Cli::get_int(const std::string& flag, int def) const
 {
     const std::string v = get(flag, "");
-    if (v.empty())
-        return def;
-    const long long parsed = parse_ll(flag, v);
-    if (parsed < std::numeric_limits<int>::min() ||
-        parsed > std::numeric_limits<int>::max())
-        bad_value(flag, v, "an int-range integer");
-    return static_cast<int>(parsed);
+    return v.empty() ? def : parse_int(flag, v);
 }
 
 double
 Cli::get_double(const std::string& flag, double def) const
 {
     const std::string v = get(flag, "");
-    if (v.empty())
-        return def;
-    errno = 0;
-    char* end = nullptr;
-    // imc-lint: allow(banned-number-parse): this IS the strict
-    // parser the rule points everyone at — endptr + errno checked,
-    // trailing garbage rejected, errors name the flag.
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE)
-        bad_value(flag, v, "a number");
-    return parsed;
+    return v.empty() ? def : parse_double(flag, v);
 }
 
 std::uint64_t
@@ -150,6 +151,24 @@ Cli::get_list(const std::string& flag) const
             break;
         pos = comma + 1;
     }
+    return out;
+}
+
+std::vector<int>
+Cli::get_int_list(const std::string& flag) const
+{
+    std::vector<int> out;
+    for (const auto& item : get_list(flag))
+        out.push_back(parse_int(flag, item));
+    return out;
+}
+
+std::vector<double>
+Cli::get_double_list(const std::string& flag) const
+{
+    std::vector<double> out;
+    for (const auto& item : get_list(flag))
+        out.push_back(parse_double(flag, item));
     return out;
 }
 

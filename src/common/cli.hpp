@@ -45,6 +45,14 @@ class Cli {
      *  Empty tokens ("a,,b", trailing comma) are skipped. */
     std::vector<std::string> get_list(const std::string& flag) const;
 
+    /** get_list() with every item parsed as by get_int(); empty when
+     *  absent, ConfigError naming the flag on a malformed item. */
+    std::vector<int> get_int_list(const std::string& flag) const;
+
+    /** get_list() with every item parsed as by get_double(); empty
+     *  when absent, ConfigError naming the flag on a malformed item. */
+    std::vector<double> get_double_list(const std::string& flag) const;
+
   private:
     std::vector<std::pair<std::string, std::string>> options_;
 };

@@ -2,13 +2,12 @@
 
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/interp.hpp"
 #include "common/obs.hpp"
+#include "common/parallel.hpp"
 #include "common/stats.hpp"
 
 namespace imc::core {
@@ -183,45 +182,6 @@ interpolate_col(Grid& grid, int j)
         grid[i][static_cast<std::size_t>(j)] = col[i];
 }
 
-/**
- * Run fn(p) for every pressure row 1..n, on up to @p tasks concurrent
- * threads. Rows are handed out through a shared counter; any row
- * order yields the same grid because rows never share state.
- */
-void
-for_each_row(int n, int tasks, const std::function<void(int)>& fn)
-{
-    if (tasks <= 1 || n <= 1) {
-        for (int p = 1; p <= n; ++p)
-            fn(p);
-        return;
-    }
-    const int workers = std::min(tasks, n);
-    std::atomic<int> next{1};
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(workers));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            try {
-                for (int p = next.fetch_add(1); p <= n;
-                     p = next.fetch_add(1))
-                    fn(p);
-            } catch (...) {
-                errors[static_cast<std::size_t>(w)] =
-                    std::current_exception();
-            }
-        });
-    }
-    for (auto& t : pool)
-        t.join();
-    for (const auto& e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-}
-
 ProfileResult
 finish(Grid grid, CountingMeasure& measure, const ProfileOptions& opts,
        const char* algo, int degraded)
@@ -281,12 +241,13 @@ profile_exhaustive(CountingMeasure& measure, const ProfileOptions& opts)
     }
     measure.prefetch(all);
 
+    // Rows never share state, so any row order yields the same grid.
     std::atomic<int> degraded{0};
-    for_each_row(n, opts.row_tasks, [&](int p) {
+    parallel_for(grid.size(), opts.row_tasks, [&](std::size_t row) {
+        const int p = static_cast<int>(row) + 1;
         for (int j = 1; j <= m; ++j) {
-            grid[static_cast<std::size_t>(p - 1)]
-                [static_cast<std::size_t>(j)] =
-                    try_measure(measure, p, j, degraded);
+            grid[row][static_cast<std::size_t>(j)] =
+                try_measure(measure, p, j, degraded);
         }
     });
     return finish(std::move(grid), measure, opts, "exhaustive",
@@ -312,10 +273,10 @@ profile_binary_brute(CountingMeasure& measure, const ProfileOptions& opts)
     // Rows are independent (a row's bisection reads only its own
     // entries), so they can refine concurrently.
     std::atomic<int> degraded{0};
-    for_each_row(n, opts.row_tasks, [&](int p) {
-        grid[static_cast<std::size_t>(p - 1)]
-            [static_cast<std::size_t>(m)] =
-                try_measure(measure, p, m, degraded);
+    parallel_for(grid.size(), opts.row_tasks, [&](std::size_t row) {
+        const int p = static_cast<int>(row) + 1;
+        grid[row][static_cast<std::size_t>(m)] =
+            try_measure(measure, p, m, degraded);
         binary_row(grid, measure, p, 0, m, opts.epsilon, degraded);
         interpolate_row(grid, p);
     });

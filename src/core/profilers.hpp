@@ -84,8 +84,10 @@ struct ProfileOptions {
      * Concurrent per-pressure-row tasks for the row-independent
      * algorithms (exhaustive, binary-brute). Rows never share
      * settings, so the result — matrix AND measured count — is
-     * bit-identical for any value; > 1 requires the measure to be
-     * safe under concurrent calls (CountingMeasure is).
+     * bit-identical for any value, and so is the error a failing
+     * row raises (parallel_for rethrows the lowest failing row's);
+     * > 1 requires the measure to be safe under concurrent calls
+     * (CountingMeasure is).
      */
     int row_tasks = 1;
 

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/obs.hpp"
+#include "common/parallel.hpp"
 #include "core/serialize.hpp"
 
 namespace imc::core {
@@ -163,28 +164,12 @@ void
 ModelRegistry::prefetch(const std::vector<workload::AppSpec>& apps,
                         int deploy_nodes)
 {
-    // One builder thread per distinct app; the leaf runs each build
-    // submits additionally spread across the service's pool. Builder
-    // threads are *callers* of the service, never its workers, so
-    // this cannot deadlock the pool.
-    std::vector<std::thread> builders;
-    std::vector<std::exception_ptr> errors(apps.size());
-    builders.reserve(apps.size());
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        builders.emplace_back([&, i] {
-            try {
-                model(apps[i], deploy_nodes);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    for (auto& t : builders)
-        t.join();
-    for (const auto& e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
+    // One builder thread per app; the leaf runs each build submits
+    // additionally spread across the service's pool. Builder threads
+    // are *callers* of the service, never its workers, so this cannot
+    // deadlock the pool.
+    parallel_for(apps.size(), static_cast<int>(apps.size()),
+                 [&](std::size_t i) { model(apps[i], deploy_nodes); });
 }
 
 void

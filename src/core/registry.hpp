@@ -108,9 +108,11 @@ class ModelRegistry {
 
     /**
      * Build any missing models of @p apps at @p deploy_nodes
-     * concurrently (one builder thread per missing model; the leaf
-     * cluster runs additionally fan out across the service's worker
-     * pool). Identical results to calling model() serially.
+     * concurrently (one builder thread per app through parallel_for;
+     * the leaf cluster runs additionally fan out across the service's
+     * worker pool). Identical results to calling model() serially;
+     * an error is the lowest-indexed failing app's, as in the serial
+     * loop.
      */
     void prefetch(const std::vector<workload::AppSpec>& apps,
                   int deploy_nodes);

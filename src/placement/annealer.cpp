@@ -1,12 +1,11 @@
 #include "placement/annealer.hpp"
 
 #include <cmath>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/obs.hpp"
+#include "common/parallel.hpp"
 #include "placement/delta_scorer.hpp"
 #include "placement/slo.hpp"
 
@@ -171,60 +170,31 @@ anneal(Placement initial, const Evaluator& evaluator, Goal goal,
             "anneal: slo_targets must be empty or index-aligned with "
             "the placement");
 
-    int chains = opts.chains;
-    if (chains == 0) {
-        chains = static_cast<int>(std::thread::hardware_concurrency());
-        if (chains < 1)
-            chains = 1;
-    }
+    const int chains = resolve_threads(opts.chains);
     IMC_OBS_COUNT("anneal.chains", static_cast<std::uint64_t>(chains));
 
     const double direction =
         goal == Goal::MinimizeTotalTime ? 1.0 : -1.0;
 
-    std::vector<ChainResult> results;
-    if (chains == 1) {
-        results.push_back(anneal_chain(std::move(initial), evaluator,
-                                       goal, qos, opts, Rng(opts.seed)));
-    } else {
-        // Stream 0 equals the chains=1 stream, so the multi-chain
-        // result can never be worse than the single-chain one.
-        const auto streams = Rng(opts.seed).parallel_streams(chains);
-        results.resize(static_cast<std::size_t>(chains),
-                       ChainResult{initial, Score{}, 0});
-        std::vector<std::exception_ptr> errors(
-            static_cast<std::size_t>(chains));
-        std::vector<std::thread> workers;
-        workers.reserve(static_cast<std::size_t>(chains));
-        for (int c = 0; c < chains; ++c) {
-            workers.emplace_back([&, c] {
-                try {
-                    results[static_cast<std::size_t>(c)] =
-                        anneal_chain(initial, evaluator, goal, qos,
-                                     opts,
-                                     streams[static_cast<std::size_t>(
-                                         c)]);
-                } catch (...) {
-                    errors[static_cast<std::size_t>(c)] =
-                        std::current_exception();
-                }
-            });
-        }
-        for (auto& w : workers)
-            w.join();
-        for (const auto& e : errors) {
-            if (e)
-                std::rethrow_exception(e);
-        }
-    }
+    // Stream 0 equals Rng(opts.seed), the chains=1 stream, so adding
+    // chains can never make the returned result worse. A single chain
+    // takes the initial placement over instead of copying it.
+    const auto streams = Rng(opts.seed).parallel_streams(chains);
+    std::vector<std::optional<ChainResult>> results(
+        static_cast<std::size_t>(chains));
+    parallel_for(results.size(), chains, [&](std::size_t c) {
+        results[c] = anneal_chain(
+            chains == 1 ? std::move(initial) : initial, evaluator, goal,
+            qos, opts, streams[c]);
+    });
 
     std::size_t winner = 0;
     for (std::size_t c = 1; c < results.size(); ++c) {
-        if (results[c].score.better_than(results[winner].score,
-                                         direction))
+        if (results[c]->score.better_than(results[winner]->score,
+                                          direction))
             winner = c;
     }
-    auto& best = results[winner];
+    auto& best = *results[winner];
     return AnnealResult{std::move(best.placement), best.score.total,
                         best.score.violation <= 0.0, best.accepted,
                         chains, static_cast<int>(winner)};

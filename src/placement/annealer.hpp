@@ -63,12 +63,13 @@ struct AnnealOptions {
     /** RNG seed of the search. */
     std::uint64_t seed = 1;
     /**
-     * Independent annealing chains run in parallel (std::thread), all
-     * starting from the initial placement with independent RNG
-     * streams; the best chain's result (violation-first) is returned.
-     * Chain 0's stream equals the chains=1 stream, so adding chains
-     * can only improve the returned objective. 0 = one chain per
-     * hardware thread.
+     * Independent annealing chains, one thread each through
+     * parallel_for, all starting from the initial placement with
+     * independent RNG streams; the best chain's result
+     * (violation-first) is returned. Chain 0's stream equals the
+     * chains=1 stream, so adding chains can only improve the
+     * returned objective. 0 = one chain per hardware thread
+     * (resolve_threads).
      */
     int chains = 1;
     /**

@@ -83,62 +83,74 @@ DeltaScorer::rescore_instance(int i)
 void
 DeltaScorer::apply(const UnitSwap& swap)
 {
+    relocate(swap, placement_.node_of(swap.instance_a, swap.unit_a),
+             placement_.node_of(swap.instance_b, swap.unit_b));
+}
+
+void
+DeltaScorer::move_unit(int instance, int unit, sim::NodeId to)
+{
+    const sim::NodeId from = placement_.node_of(instance, unit);
+    require(to >= 0 && to < placement_.num_nodes(),
+            "DeltaScorer::move_unit: node out of range");
+    require(to != from && !placement_.occupies(instance, to),
+            "DeltaScorer::move_unit: instance already on target node");
+    relocate(UnitSwap{instance, unit, instance, unit}, from, to);
+}
+
+void
+DeltaScorer::relocate(const UnitSwap& change, sim::NodeId node_a,
+                      sim::NodeId node_b)
+{
+    const bool swap = change.instance_b != change.instance_a;
+    last_.valid = true;
+    last_.change = change;
+    last_.node_a = node_a;
+    last_.node_b = node_b;
+    placement_.assign(change.instance_a, change.unit_a, node_b);
+    if (swap)
+        placement_.assign(change.instance_b, change.unit_b, node_a);
     if (!incremental_) {
-        last_.valid = true;
-        last_.kind = Snapshot::Kind::kSwap;
-        last_.swap = swap;
         last_.times = times_;
-        placement_.swap_units(swap.instance_a, swap.unit_a,
-                              swap.instance_b, swap.unit_b);
         times_ = evaluator_.predict(placement_);
         return;
     }
 
-    const sim::NodeId node_a =
-        placement_.node_of(swap.instance_a, swap.unit_a);
-    const sim::NodeId node_b =
-        placement_.node_of(swap.instance_b, swap.unit_b);
     const auto na = static_cast<std::size_t>(node_a);
     const auto nb = static_cast<std::size_t>(node_b);
-    const auto ia = static_cast<std::size_t>(swap.instance_a);
-    const auto ib = static_cast<std::size_t>(swap.instance_b);
-
-    last_.valid = true;
-    last_.kind = Snapshot::Kind::kSwap;
-    last_.swap = swap;
-    last_.node_a = node_a;
-    last_.node_b = node_b;
+    const auto ia = static_cast<std::size_t>(change.instance_a);
+    const auto ib = static_cast<std::size_t>(change.instance_b);
     last_.tenants_a = node_tenants_[na];
     last_.tenants_b = node_tenants_[nb];
     last_.nodes_a = sorted_nodes_[ia];
-    last_.nodes_b = sorted_nodes_[ib];
+    if (swap)
+        last_.nodes_b = sorted_nodes_[ib];
 
-    placement_.swap_units(swap.instance_a, swap.unit_a,
-                          swap.instance_b, swap.unit_b);
-
-    // Instance a leaves node_a for node_b and vice versa; tenant
-    // lists stay sorted by erase+insert at the right position.
+    // Instance a leaves node_a for node_b, and in a swap instance b
+    // goes the other way. Tenant lists stay sorted by erase+insert at
+    // the right position, and so do the movers' node lists, without
+    // reallocating; everyone else's node lists don't change.
     auto move_tenant = [](std::vector<int>& from, std::vector<int>& to,
                           int instance) {
         from.erase(std::find(from.begin(), from.end(), instance));
         to.insert(std::lower_bound(to.begin(), to.end(), instance),
                   instance);
     };
-    move_tenant(node_tenants_[na], node_tenants_[nb], swap.instance_a);
-    move_tenant(node_tenants_[nb], node_tenants_[na], swap.instance_b);
-
-    // The two movers' sorted node lists change; everyone else's
-    // don't. Erase+insert keeps them sorted without reallocating.
     auto move_node = [](std::vector<sim::NodeId>& nodes,
                         sim::NodeId from, sim::NodeId to) {
         nodes.erase(std::find(nodes.begin(), nodes.end(), from));
         nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), to),
                      to);
     };
+    move_tenant(node_tenants_[na], node_tenants_[nb], change.instance_a);
     move_node(sorted_nodes_[ia], node_a, node_b);
-    move_node(sorted_nodes_[ib], node_b, node_a);
+    if (swap) {
+        move_tenant(node_tenants_[nb], node_tenants_[na],
+                    change.instance_b);
+        move_node(sorted_nodes_[ib], node_b, node_a);
+    }
 
-    // Affected = union of the two nodes' (post-swap) tenants; the
+    // Affected = union of the two nodes' (post-change) tenants; the
     // movers are in it by construction.
     last_.affected.clear();
     last_.affected.insert(last_.affected.end(),
@@ -152,10 +164,10 @@ DeltaScorer::apply(const UnitSwap& swap)
         std::unique(last_.affected.begin(), last_.affected.end()),
         last_.affected.end());
 
-    // Snapshot the outgoing pressure lists, then re-score: the two
-    // movers get a full rebuild (their node lists changed); a
-    // bystander keeps its node list, so only its entries on the two
-    // swapped nodes are recomputed before re-predicting.
+    // Snapshot the outgoing pressure lists, then re-score: the movers
+    // get a full rebuild (their node lists changed); a bystander
+    // keeps its node list, so only its entries on the two touched
+    // nodes are recomputed before re-predicting.
     if (last_.pressures.size() < last_.affected.size())
         last_.pressures.resize(last_.affected.size());
     last_.times.clear();
@@ -163,7 +175,7 @@ DeltaScorer::apply(const UnitSwap& swap)
         const int inst = last_.affected[k];
         const auto i = static_cast<std::size_t>(inst);
         last_.times.push_back(times_[i]);
-        if (inst == swap.instance_a || inst == swap.instance_b) {
+        if (inst == change.instance_a || inst == change.instance_b) {
             std::swap(last_.pressures[k], pressures_[i]);
             rescore_instance(inst);
             continue;
@@ -180,100 +192,15 @@ DeltaScorer::apply(const UnitSwap& swap)
 }
 
 void
-DeltaScorer::move_unit(int instance, int unit, sim::NodeId to)
-{
-    const sim::NodeId from = placement_.node_of(instance, unit);
-    require(to >= 0 && to < placement_.num_nodes(),
-            "DeltaScorer::move_unit: node out of range");
-    require(to != from && !placement_.occupies(instance, to),
-            "DeltaScorer::move_unit: instance already on target node");
-
-    if (!incremental_) {
-        last_.valid = true;
-        last_.kind = Snapshot::Kind::kMove;
-        last_.swap = UnitSwap{instance, unit, instance, unit};
-        last_.node_a = from;
-        last_.node_b = to;
-        last_.times = times_;
-        placement_.assign(instance, unit, to);
-        times_ = evaluator_.predict(placement_);
-        return;
-    }
-
-    const auto nf = static_cast<std::size_t>(from);
-    const auto nt = static_cast<std::size_t>(to);
-    const auto ii = static_cast<std::size_t>(instance);
-
-    last_.valid = true;
-    last_.kind = Snapshot::Kind::kMove;
-    last_.swap = UnitSwap{instance, unit, instance, unit};
-    last_.node_a = from;
-    last_.node_b = to;
-    last_.tenants_a = node_tenants_[nf];
-    last_.tenants_b = node_tenants_[nt];
-    last_.nodes_a = sorted_nodes_[ii];
-
-    placement_.assign(instance, unit, to);
-    auto& tenants_from = node_tenants_[nf];
-    tenants_from.erase(std::find(tenants_from.begin(),
-                                 tenants_from.end(), instance));
-    auto& tenants_to = node_tenants_[nt];
-    tenants_to.insert(std::lower_bound(tenants_to.begin(),
-                                       tenants_to.end(), instance),
-                      instance);
-    auto& nodes = sorted_nodes_[ii];
-    nodes.erase(std::find(nodes.begin(), nodes.end(), from));
-    nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), to), to);
-
-    last_.affected.clear();
-    last_.affected.push_back(instance);
-    last_.affected.insert(last_.affected.end(), tenants_from.begin(),
-                          tenants_from.end());
-    last_.affected.insert(last_.affected.end(), tenants_to.begin(),
-                          tenants_to.end());
-    std::sort(last_.affected.begin(), last_.affected.end());
-    last_.affected.erase(
-        std::unique(last_.affected.begin(), last_.affected.end()),
-        last_.affected.end());
-
-    // Same discipline as apply(): the mover gets a full rebuild (its
-    // node list changed); a bystander keeps its node list, so only
-    // its entries on the two touched nodes are recomputed.
-    if (last_.pressures.size() < last_.affected.size())
-        last_.pressures.resize(last_.affected.size());
-    last_.times.clear();
-    for (std::size_t k = 0; k < last_.affected.size(); ++k) {
-        const int inst = last_.affected[k];
-        const auto i = static_cast<std::size_t>(inst);
-        last_.times.push_back(times_[i]);
-        if (inst == instance) {
-            std::swap(last_.pressures[k], pressures_[i]);
-            rescore_instance(inst);
-            continue;
-        }
-        auto& list = pressures_[i];
-        last_.pressures[k] = list; // copy into recycled buffer
-        const auto& inst_nodes = sorted_nodes_[i];
-        for (std::size_t pos = 0; pos < inst_nodes.size(); ++pos) {
-            if (inst_nodes[pos] == from || inst_nodes[pos] == to)
-                list[pos] = pressure_at(inst, inst_nodes[pos]);
-        }
-        times_[i] = evaluator_.predict_instance(inst, list);
-    }
-}
-
-void
 DeltaScorer::undo()
 {
     invariant(last_.valid, "DeltaScorer::undo: nothing to undo");
     last_.valid = false;
-    if (last_.kind == Snapshot::Kind::kSwap) {
-        placement_.swap_units(last_.swap.instance_a, last_.swap.unit_a,
-                              last_.swap.instance_b, last_.swap.unit_b);
-    } else {
-        placement_.assign(last_.swap.instance_a, last_.swap.unit_a,
-                          last_.node_a);
-    }
+    const UnitSwap& change = last_.change;
+    // Unit b goes back before unit a: a move names one unit as both,
+    // and it must end on node_a.
+    placement_.assign(change.instance_b, change.unit_b, last_.node_b);
+    placement_.assign(change.instance_a, change.unit_a, last_.node_a);
     if (!incremental_) {
         std::swap(times_, last_.times);
         return;
@@ -282,11 +209,11 @@ DeltaScorer::undo()
         last_.tenants_a;
     node_tenants_[static_cast<std::size_t>(last_.node_b)] =
         last_.tenants_b;
-    sorted_nodes_[static_cast<std::size_t>(last_.swap.instance_a)] =
+    sorted_nodes_[static_cast<std::size_t>(change.instance_a)] =
         last_.nodes_a;
-    if (last_.kind == Snapshot::Kind::kSwap) {
-        sorted_nodes_[static_cast<std::size_t>(
-            last_.swap.instance_b)] = last_.nodes_b;
+    if (change.instance_b != change.instance_a) {
+        sorted_nodes_[static_cast<std::size_t>(change.instance_b)] =
+            last_.nodes_b;
     }
     for (std::size_t k = 0; k < last_.affected.size(); ++k) {
         const auto i = static_cast<std::size_t>(last_.affected[k]);

@@ -3,25 +3,30 @@
 
 /**
  * @file
- * Stateful incremental scoring of a placement under unit swaps.
+ * Stateful incremental scoring of a placement under unit swaps and
+ * moves.
  *
- * The annealer and the scheduler's polish mutate a placement one swap
- * at a time; re-predicting every instance per proposal costs
- * O(instances x nodes) even though a swap only perturbs the pressure
- * lists of the instances sharing the two affected nodes. A DeltaScorer
- * owns one placement plus per-node tenant lists, per-instance pressure
- * lists and predictions, and keeps them in sync across apply()/undo():
- * each swap re-scores at most 2 x slots_per_node instances.
+ * The annealer mutates a placement one swap at a time, and the
+ * scheduler's polish one swap or one unit move at a time;
+ * re-predicting every instance per proposal costs O(instances x
+ * nodes) even though either change only perturbs the pressure lists
+ * of the instances sharing the two touched nodes. A DeltaScorer owns
+ * one placement plus per-node tenant lists, per-instance pressure
+ * lists and predictions, and keeps them in sync across
+ * apply()/move_unit()/undo(): each change re-scores at most
+ * 2 x slots_per_node instances. A swap is two units crossing between
+ * the same two nodes and a move is one, so both run through a single
+ * relocation routine.
  *
  * Invariant (the "delta invariant", see DESIGN.md): after every
- * apply()/undo(), times() is bit-identical to
+ * apply()/move_unit()/undo(), times() is bit-identical to
  * evaluator.predict(placement()) — changed entries are recomputed from
  * the same inputs through the same pure functions the full path uses,
  * and unchanged entries cannot differ because a prediction depends
  * only on its own instance's pressure list.
  *
  * Evaluators without delta support (supports_delta() == false) are
- * handled by re-running the full predict() per apply(), so the search
+ * handled by re-running the full predict() per change, so the search
  * loops need only one code path.
  */
 
@@ -29,7 +34,7 @@
 
 namespace imc::placement {
 
-/** Incremental per-swap re-scoring session bound to one placement. */
+/** Incremental per-change re-scoring session bound to one placement. */
 class DeltaScorer {
   public:
     /**
@@ -136,6 +141,16 @@ class DeltaScorer {
     const std::vector<sim::NodeId>& nodes_sorted(int instance) const;
 
   private:
+    /**
+     * The one state edit behind apply() and move_unit(): unit a goes
+     * from @p node_a to @p node_b and, when change.instance_b differs
+     * from change.instance_a, unit b goes the other way (a move names
+     * its unit as both a and b). Snapshots for undo(), then re-scores
+     * the tenants of the two nodes.
+     */
+    void relocate(const UnitSwap& change, sim::NodeId node_a,
+                  sim::NodeId node_b);
+
     /** Combined co-tenant pressure instance @p i sees on @p node. */
     double pressure_at(int i, sim::NodeId node);
 
@@ -159,15 +174,14 @@ class DeltaScorer {
     /** Undo snapshot of the state the last apply()/move overwrote. */
     struct Snapshot {
         bool valid = false;
-        /** What the snapshot reverts: a unit swap or a unit move. */
-        enum class Kind { kSwap, kMove };
-        Kind kind = Kind::kSwap;
-        UnitSwap swap;
+        /** The change to revert; a move names its unit as a and b. */
+        UnitSwap change;
         sim::NodeId node_a = -1;
         sim::NodeId node_b = -1;
         std::vector<int> tenants_a;
         std::vector<int> tenants_b;
         std::vector<sim::NodeId> nodes_a;
+        /** Only written by a swap. */
         std::vector<sim::NodeId> nodes_b;
         std::vector<int> affected;
         std::vector<std::vector<double>> pressures;

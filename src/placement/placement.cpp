@@ -202,17 +202,6 @@ Placement::remove_instance_swap(int instance)
     assignment_.pop_back();
 }
 
-void
-Placement::swap_units(int instance_a, int unit_a, int instance_b,
-                      int unit_b)
-{
-    auto& a = assignment_.at(static_cast<std::size_t>(instance_a))
-                  .at(static_cast<std::size_t>(unit_a));
-    auto& b = assignment_.at(static_cast<std::size_t>(instance_b))
-                  .at(static_cast<std::size_t>(unit_b));
-    std::swap(a, b);
-}
-
 bool
 Placement::swap_is_valid(int instance_a, int unit_a, int instance_b,
                          int unit_b) const

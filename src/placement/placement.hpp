@@ -118,10 +118,6 @@ class Placement {
      */
     void remove_instance_swap(int instance);
 
-    /** Swap the node assignments of two units. */
-    void swap_units(int instance_a, int unit_a, int instance_b,
-                    int unit_b);
-
     /**
      * True if swapping the two units keeps the placement valid (they
      * belong to different instances and neither instance already

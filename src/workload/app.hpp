@@ -35,8 +35,6 @@ struct LaunchOptions {
     /** Additional noise sigma (e.g. the Dom0 effect), composed with
      *  the spec's own noise_sigma in quadrature. */
     double extra_noise_sigma = 0.0;
-    /** Multiplier on all compute work (e.g. Dom0 CPU starvation). */
-    double work_scale = 1.0;
     /**
      * Optional per-iteration timeline capture (delay-wave study).
      * Null — the default — records nothing: drivers guard every stamp

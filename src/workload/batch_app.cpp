@@ -51,7 +51,7 @@ BatchApp::step(std::size_t idx)
         idx / static_cast<std::size_t>(opts_.procs_per_node);
     const double work = segment *
                         inst.rng.lognormal_factor(noise_sigma()) *
-                        opts_.work_scale * dom0_factor(node_idx);
+                        dom0_factor(node_idx);
     sim_.compute(inst.proc, work, [this, idx] { step(idx); });
 }
 

@@ -83,8 +83,7 @@ BspApp::step(std::size_t idx)
     const double node_factor = node_rng.lognormal_factor(node_sigma);
 
     const double work = spec_.bsp.work_per_iter * imbalance * noise *
-                        node_factor * opts_.work_scale *
-                        dom0_factor(node_idx);
+                        node_factor * dom0_factor(node_idx);
     if (opts_.timeline)
         opts_.timeline->compute_start(static_cast<int>(idx), ps.iter,
                                       sim_.now());

@@ -1,16 +1,14 @@
 #include "workload/delaywave.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/obs.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
@@ -111,42 +109,12 @@ capture(const Scenario& s)
 std::vector<Capture>
 capture_sweep(const std::vector<Scenario>& batch, int threads)
 {
-    std::vector<Capture> out(batch.size());
-    if (threads <= 1 || batch.size() <= 1) {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            out[i] = capture(batch[i]);
-        return out;
-    }
     // Each capture is a pure function of its scenario (and the armed
-    // schedule, itself pure in content keys), so a first-come
-    // work-stealing loop is bit-identical to the serial one. Every
-    // scenario runs, so the lowest failing index is always known, and
-    // rethrowing its error matches the serial loop at any thread
-    // count.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(batch.size());
-    const auto workers =
-        std::min(static_cast<std::size_t>(threads), batch.size());
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-            for (std::size_t i = next.fetch_add(1); i < batch.size();
-                 i = next.fetch_add(1)) {
-                try {
-                    out[i] = capture(batch[i]);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            }
-        });
-    }
-    for (auto& worker : pool)
-        worker.join();
-    for (const auto& e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
+    // schedule, itself pure in content keys), so any thread count
+    // yields the serial loop's results.
+    std::vector<Capture> out(batch.size());
+    parallel_for(batch.size(), threads,
+                 [&](std::size_t i) { out[i] = capture(batch[i]); });
     return out;
 }
 

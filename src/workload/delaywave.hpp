@@ -16,8 +16,8 @@
  * "sim.crash" clause may deterministically crash nodes mid-run, whose
  * ranks are then marked absent rather than failing the capture.
  * Because captures share no mutable state, capture_sweep() fans a
- * batch over a worker pool with bit-identical results at any thread
- * count — the RunService discipline, locked down by
+ * batch out through parallel_for with bit-identical results at any
+ * thread count — the RunService discipline, locked down by
  * tests/test_determinism.cpp.
  */
 
@@ -72,11 +72,12 @@ struct Capture {
 Capture capture(const Scenario& s);
 
 /**
- * Capture a batch, in order, on @p threads workers (<= 1 = inline on
- * the calling thread). Results are bit-identical at any thread count.
+ * Capture a batch, in order, through parallel_for on @p threads
+ * threads (<= 1 = inline on the calling thread). Results are
+ * bit-identical at any thread count.
  *
- * @throws the error of the lowest-indexed failing scenario, as the
- *         serial loop would, at any thread count
+ * @throws parallel_for's error: the lowest-indexed failing
+ *         scenario's, as the serial loop would, at any thread count
  */
 std::vector<Capture> capture_sweep(const std::vector<Scenario>& batch,
                                    int threads);

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/obs.hpp"
+#include "common/parallel.hpp"
 
 namespace imc::workload {
 
@@ -265,12 +266,7 @@ RunService::RunService(const RunServiceOptions& opts) : opts_(opts)
             "RunService: timeout_ms must be > 0");
     require(opts_.backoff_base_ms >= 0.0,
             "RunService: backoff_base_ms must be >= 0");
-    if (opts_.threads == 0) {
-        opts_.threads =
-            static_cast<int>(std::thread::hardware_concurrency());
-        if (opts_.threads < 1)
-            opts_.threads = 1;
-    }
+    opts_.threads = resolve_threads(opts_.threads);
     threads_ = opts_.threads;
     if (threads_ > 1) {
         workers_.reserve(static_cast<std::size_t>(threads_));

@@ -160,10 +160,10 @@ class RestartingApp {
 
 /**
  * Compose Dom0-effect adjustments for a set of co-located
- * applications: for every Dom0-sensitive application the fraction of
- * its nodes shared with fluctuating-CPU applications determines an
- * extra noise sigma, a random generated-demand wobble, and a mean
- * compute slowdown (Dom0 CPU starvation; Section 4.3).
+ * applications (Section 4.3): for every Dom0-sensitive application
+ * the fraction of its nodes shared with fluctuating-CPU applications
+ * determines an extra noise sigma and a random generated-demand
+ * wobble.
  */
 struct CorunAdjust {
     double extra_noise_sigma = 0.0;

@@ -130,8 +130,7 @@ ServiceApp::kick(std::size_t vm)
     ++in_flight_;
     // The engine serves this at rate 1/slowdown, so the node's
     // *current* contention directly stretches the request.
-    const double work =
-        req.work * opts_.work_scale * dom0_factor(v.node_idx);
+    const double work = req.work * dom0_factor(v.node_idx);
     sim_.compute(v.proc, work, [this, vm, arrival = req.arrival] {
         if (detached())
             return;

@@ -92,7 +92,7 @@ TaskPoolApp::pull(std::size_t idx)
         auto& w = workers_[idx];
         const double work = grant.work *
                             w.rng.lognormal_factor(noise_sigma()) *
-                            opts_.work_scale * dom0_factor(w.node_idx);
+                            dom0_factor(w.node_idx);
         sim_.compute(w.proc, work, [this, idx] {
             pool_.complete_task();
             pull(idx);

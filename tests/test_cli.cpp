@@ -146,3 +146,35 @@ TEST(Cli, ListSkipsEmptyTokens)
               (std::vector<std::string>{"a"}));
     EXPECT_TRUE(make_cli({"--apps", ",,"}).get_list("apps").empty());
 }
+
+// Regression: list items went through std::stoi / std::stod, so
+// "--pressures 2x" ran pressure 2 and "--pressures abc" escaped as an
+// uncaught std::invalid_argument. Items now parse like get_int /
+// get_double, and the error names the flag.
+TEST(Cli, NumericListsParseStrictly)
+{
+    for (const char* bad : {"2x", "1,abc"}) {
+        const Cli cli = make_cli({"--pressures", bad});
+        for (const bool as_int : {true, false}) {
+            try {
+                if (as_int)
+                    cli.get_int_list("pressures");
+                else
+                    cli.get_double_list("pressures");
+                FAIL() << "expected ConfigError for '" << bad << "'";
+            } catch (const ConfigError& e) {
+                EXPECT_NE(std::string(e.what()).find("--pressures"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    const Cli cli = make_cli({"--pressures", "1,2.5"});
+    EXPECT_EQ(cli.get_double_list("pressures"),
+              (std::vector<double>{1.0, 2.5}));
+    EXPECT_THROW(cli.get_int_list("pressures"), ConfigError);
+    EXPECT_EQ(make_cli({"--pressures", "1,3"}).get_int_list("pressures"),
+              (std::vector<int>{1, 3}));
+    EXPECT_TRUE(make_cli({}).get_int_list("pressures").empty());
+    EXPECT_TRUE(make_cli({}).get_double_list("pressures").empty());
+}

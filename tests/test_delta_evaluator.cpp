@@ -1,7 +1,7 @@
 /**
  * @file
  * Equivalence property tests for the incremental delta-evaluation
- * path: over randomized placements and swap sequences, the cached
+ * path: over randomized placements and swap/move sequences, the cached
  * predictions maintained by DeltaScorer must match a fresh full
  * predict() to 1e-12 (they are in fact bit-identical), including the
  * undo/reject paths the annealer takes. The polish filter
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -88,6 +89,45 @@ random_valid_swap(const Placement& placement, Rng& rng)
     throw LogicBug("random_valid_swap: no valid swap found");
 }
 
+/** One unit and the node it moves to. */
+struct UnitMove {
+    int instance = 0;
+    int unit = 0;
+    sim::NodeId to = 0;
+};
+
+/**
+ * Pick a random unit move by the polish's rule: a random unit goes to
+ * a random node that has a free slot and that its instance does not
+ * occupy (asserts one exists).
+ */
+UnitMove
+random_valid_move(const Placement& placement, Rng& rng)
+{
+    std::vector<int> load(static_cast<std::size_t>(placement.num_nodes()));
+    for (int i = 0; i < placement.num_instances(); ++i) {
+        for (int u = 0;
+             u < placement.instances()[static_cast<std::size_t>(i)].units;
+             ++u)
+            ++load[static_cast<std::size_t>(placement.node_of(i, u))];
+    }
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+        const auto a = static_cast<int>(rng.uniform_index(
+            static_cast<std::size_t>(placement.num_instances())));
+        const auto ua = static_cast<int>(rng.uniform_index(
+            static_cast<std::size_t>(
+                placement.instances()[static_cast<std::size_t>(a)]
+                    .units)));
+        const auto to = static_cast<sim::NodeId>(rng.uniform_index(
+            static_cast<std::size_t>(placement.num_nodes())));
+        if (load[static_cast<std::size_t>(to)] <
+                placement.slots_per_node() &&
+            !placement.occupies(a, to))
+            return UnitMove{a, ua, to};
+    }
+    throw LogicBug("random_valid_move: no valid move found");
+}
+
 void
 expect_times_match(const std::vector<double>& incremental,
                    const std::vector<double>& full)
@@ -98,25 +138,37 @@ expect_times_match(const std::vector<double>& incremental,
 }
 
 /**
- * Drive a DeltaScorer through randomized apply/undo walks (the
- * annealer's accept/reject pattern), checking times() and total_time()
- * against the full path after every step.
+ * Drive a DeltaScorer through randomized change/undo walks (the
+ * search loops' accept/reject pattern), checking times() and
+ * total_time() against the full path after every step. Each step
+ * applies a random valid swap or, with @p moves, half the time a
+ * random valid move_unit(); moves need free slots, so those walks
+ * run 16 units on ten two-slot nodes instead of eight.
  */
 void
 check_scorer_walk(const Evaluator& eval, int sequences, int steps,
-                  std::uint64_t seed)
+                  std::uint64_t seed, bool moves = false,
+                  bool force_full = false)
 {
     Rng rng(seed);
+    const auto cluster = moves ? sim::ClusterSpec::scaled(10)
+                               : sim::ClusterSpec::private8();
     for (int s = 0; s < sequences; ++s) {
-        auto initial = Placement::random(
-            mix_instances(), sim::ClusterSpec::private8(), rng);
-        DeltaScorer scorer(eval, initial);
+        auto initial = Placement::random(mix_instances(), cluster, rng);
+        DeltaScorer scorer(eval, initial, force_full);
         for (int k = 0; k < steps; ++k) {
-            const auto swap =
-                random_valid_swap(scorer.placement(), rng);
-            scorer.apply(swap);
-            if (rng.uniform() < 0.5)
-                scorer.undo(); // the annealer's reject path
+            const std::string before = scorer.placement().to_string();
+            if (moves && rng.bernoulli(0.5)) {
+                const auto move =
+                    random_valid_move(scorer.placement(), rng);
+                scorer.move_unit(move.instance, move.unit, move.to);
+            } else {
+                scorer.apply(random_valid_swap(scorer.placement(), rng));
+            }
+            if (rng.uniform() < 0.5) {
+                scorer.undo(); // the search loops' reject path
+                EXPECT_EQ(scorer.placement().to_string(), before);
+            }
             const auto full = eval.predict(scorer.placement());
             expect_times_match(scorer.times(), full);
             EXPECT_NEAR(scorer.total_time(),
@@ -235,6 +287,16 @@ TEST(DeltaScorerWalk, NaiveEvaluatorApplyUndoMatchesFullPredict)
     ModelEvaluator eval(shared_registry(), mix_instances(),
                         Predictor::kNaive);
     check_scorer_walk(eval, 40, 15, 4004);
+}
+
+TEST(DeltaScorerWalk, MovesAndSwapsMatchFullPredict)
+{
+    // The polish's moves go through the same relocation as swaps;
+    // walk both, incrementally and with full re-prediction forced.
+    ModelEvaluator eval(shared_registry(), mix_instances());
+    check_scorer_walk(eval, 40, 15, 8008, /*moves=*/true);
+    check_scorer_walk(eval, 10, 15, 9009, /*moves=*/true,
+                      /*force_full=*/true);
 }
 
 TEST(DeltaScorerWalk, FallbackEvaluatorUsesFullPredictPath)

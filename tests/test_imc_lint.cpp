@@ -96,8 +96,9 @@ TEST(ImcLintRules, NumberParseFlagsAtoiAndRawStrtod)
 {
     const auto diags = lint_content("src/bad_parse.cpp",
                                     fixture("src/bad_parse.cpp"));
-    EXPECT_EQ(findings(diags), (Want{{"banned-number-parse", 6},
-                                     {"banned-number-parse", 8}}));
+    EXPECT_EQ(findings(diags), (Want{{"banned-number-parse", 8},
+                                     {"banned-number-parse", 10},
+                                     {"banned-number-parse", 12}}));
 }
 
 TEST(ImcLintRules, PrintfBannedInLibraryOnly)

@@ -132,16 +132,6 @@ TEST(Placement, SwapValidityRules)
     EXPECT_FALSE(p.swap_is_valid(0, 0, 1, 1));
 }
 
-TEST(Placement, SwapPreservesValidityWhenChecked)
-{
-    auto p = paired();
-    ASSERT_TRUE(p.swap_is_valid(0, 0, 2, 0));
-    p.swap_units(0, 0, 2, 0);
-    EXPECT_TRUE(p.valid());
-    EXPECT_EQ(p.node_of(0, 0), 4);
-    EXPECT_EQ(p.node_of(2, 0), 0);
-}
-
 TEST(Placement, RandomPlacementsAreValidAndVaried)
 {
     Rng rng(17);

@@ -147,7 +147,9 @@ TEST_P(PlacementFuzz, RandomValidSwapSequencesPreserveInvariants)
         const int ub = static_cast<int>(rng.uniform_index(4));
         if (!p.swap_is_valid(ia, ua, ib, ub))
             continue;
-        p.swap_units(ia, ua, ib, ub);
+        const sim::NodeId na = p.node_of(ia, ua);
+        p.assign(ia, ua, p.node_of(ib, ub));
+        p.assign(ib, ub, na);
         ASSERT_TRUE(p.valid());
         // Pressure lists stay consistent: per instance, one entry per
         // unit, all non-negative, and zero exactly when the instance

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bubble/bubble.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/measure.hpp"
 #include "core/profilers.hpp"
@@ -311,6 +314,37 @@ TEST(ProfilerEquivalence, AllAlgorithmsBitIdenticalSerialVsParallel)
                          std::to_string(threads));
             expect_same_matrix(got.matrix, want.matrix);
             EXPECT_EQ(got.measured, want.measured);
+        }
+    }
+}
+
+TEST(ProfilerEquivalence, RethrowsTheLowestFailingRowAtAnyRowTaskCount)
+{
+    // Rows 2 and 5 fail with distinct errors, and row 1 is slow: a
+    // worker that starts on row 1 reaches row 5 after another worker
+    // has already failed on row 2. The serial loop reports row 2, so
+    // every row-task count must too.
+    ProfileOptions opts;
+    opts.hosts = 4;
+    for (const int row_tasks : {1, 2, 4}) {
+        opts.row_tasks = row_tasks;
+        for (int rep = 0; rep < 10; ++rep) {
+            CountingMeasure measure([](int pressure, int nodes) {
+                if (pressure == 1 && nodes == 1)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+                if (pressure == 2 || pressure == 5)
+                    throw ConfigError("row " + std::to_string(pressure) +
+                                      " failed");
+                return 1.0 + 0.01 * pressure * nodes;
+            });
+            try {
+                profile_exhaustive(measure, opts);
+                ADD_FAILURE() << "expected a row error";
+            } catch (const ConfigError& e) {
+                EXPECT_STREQ(e.what(), "row 2 failed")
+                    << "row_tasks=" << row_tasks << " rep=" << rep;
+            }
         }
     }
 }

@@ -32,7 +32,7 @@
  *                            'this' hashing, or thread ids must not
  *                            flow into digests, serialized output,
  *                            LatencyRecorder, or RNG fork names
- *  - banned-number-parse     no atoi/atof/strtol-family parsing
+ *  - banned-number-parse     no atoi/atof/strtol/stoi-family parsing
  *                            (use the strict Cli / serialize paths)
  *  - banned-printf           no printf-family output in library code
  *  - banned-new-delete       no naked new/delete

@@ -674,7 +674,8 @@ rule_banned_number_parse(const FileContext& ctx,
     static const std::set<std::string> kBanned = {
         "atoi",    "atof",    "atol",    "atoll",  "strtol",
         "strtoul", "strtoll", "strtoull", "strtod", "strtof",
-        "sscanf"};
+        "sscanf",  "stoi",    "stol",    "stoll",  "stoul",
+        "stoull",  "stof",    "stod",    "stold"};
     const Tokens& toks = ctx.lex.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
         if (toks[i].kind == TokKind::Ident &&
@@ -974,7 +975,7 @@ rule_descriptions()
          "unordered-iteration/pointer/thread-id values must not "
          "reach digests, serialized output, or RNG fork names"},
         {"banned-number-parse",
-         "no atoi/atof/strtol-family parsing"},
+         "no atoi/atof/strtol/stoi-family parsing"},
         {"banned-printf",
          "no printf-family output in library code"},
         {"banned-new-delete", "no naked new/delete"},
