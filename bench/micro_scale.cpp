@@ -1,10 +1,10 @@
 /**
  * @file
  * Micro benchmark of the simulation-engine hot path (indexed event
- * queue, struct-of-arrays state, node-local re-solves): events per
- * second across a node sweep — the recorded artifact behind the
- * DESIGN.md §7 claim that the engine runs 10k-node clusters in
- * seconds.
+ * queue, per-proc records with tagged completions, node-local
+ * re-solves): events per second and engine bytes per node across a
+ * node sweep — the recorded artifact behind the DESIGN.md §7 claim
+ * that the engine runs 10k-node clusters in seconds.
  *
  * The scenario is churn-heavy to stress the re-solve path: every node
  * hosts `--tenants` single-proc tenants, every proc executes

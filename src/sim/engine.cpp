@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -50,8 +51,8 @@ Simulation::remove_tenant(TenantId t)
     invariant(tenant_live_[ti], "remove_tenant: tenant already removed");
     const NodeId node = tenant_node_[ti];
     for (const ProcId pid : node_procs_[static_cast<std::size_t>(node)]) {
-        const auto pi = static_cast<std::size_t>(pid);
-        invariant(proc_tenant_[pi] != t || !proc_busy_[pi],
+        const Proc& p = procs_[static_cast<std::size_t>(pid)];
+        invariant(p.tenant != t || !p.busy,
                   "remove_tenant: tenant still has a busy proc");
     }
     auto& list = node_tenants_[static_cast<std::size_t>(node)];
@@ -98,8 +99,10 @@ Simulation::node_of(TenantId t) const
 int
 Simulation::tenants_on(NodeId node) const
 {
+    require(node >= 0 && node < spec_.num_nodes,
+            "tenants_on: node index out of range");
     return static_cast<int>(
-        node_tenants_.at(static_cast<std::size_t>(node)).size());
+        node_tenants_[static_cast<std::size_t>(node)].size());
 }
 
 ProcId
@@ -108,14 +111,10 @@ Simulation::add_proc(TenantId t)
     const auto ti = static_cast<std::size_t>(t);
     require(ti < tenant_node_.size(), "add_proc: no such tenant");
     invariant(tenant_live_[ti], "add_proc: tenant removed");
-    const auto id = static_cast<ProcId>(proc_tenant_.size());
-    proc_tenant_.push_back(t);
-    proc_busy_.push_back(0);
-    proc_remaining_.push_back(0.0);
-    proc_rate_.push_back(1.0 / tenant_slowdown_[ti]);
-    proc_last_update_.push_back(0.0);
-    proc_event_.push_back(0);
-    proc_done_.emplace_back();
+    const auto id = static_cast<ProcId>(procs_.size());
+    Proc& p = procs_.emplace_back();
+    p.rate = 1.0 / tenant_slowdown_[ti];
+    p.tenant = t;
     // Appended in ascending ProcId order: a re-solve reschedules the
     // node's procs in ascending-pid order, which fixes the seq order
     // of their re-rated completions.
@@ -128,44 +127,47 @@ Simulation::compute(ProcId pid, double work, Callback done)
 {
     require(work >= 0.0, "compute: negative work");
     const auto pi = static_cast<std::size_t>(pid);
-    require(pi < proc_tenant_.size(), "compute: no such proc");
-    invariant(!proc_busy_[pi], "compute: proc already busy");
-    const auto ti = static_cast<std::size_t>(proc_tenant_[pi]);
+    require(pi < procs_.size(), "compute: no such proc");
+    Proc& p = procs_[pi];
+    invariant(!p.busy, "compute: proc already busy");
+    const auto ti = static_cast<std::size_t>(p.tenant);
     invariant(tenant_live_[ti],
               "compute: proc's tenant was removed or crashed");
-    proc_busy_[pi] = 1;
-    proc_remaining_[pi] = work;
-    proc_rate_[pi] = 1.0 / tenant_slowdown_[ti];
-    proc_last_update_[pi] = now();
-    proc_done_[pi] = std::move(done);
+    p.busy = true;
+    p.remaining = work;
+    p.rate = 1.0 / tenant_slowdown_[ti];
+    p.last_update = now();
     ++stats_.computes;
-    proc_event_[pi] =
-        schedule(completion_delay(pi), [this, pid] { complete(pid); });
+    // The completion is tagged with the proc; its callback slot holds
+    // the caller's done, which step() runs after complete().
+    p.event = queue_.schedule_at(now() + completion_delay(p),
+                                 std::move(done),
+                                 static_cast<std::uint32_t>(pid));
 }
 
 bool
 Simulation::proc_busy(ProcId pid) const
 {
     const auto pi = static_cast<std::size_t>(pid);
-    require(pi < proc_tenant_.size(), "proc_busy: no such proc");
-    return proc_busy_[pi] != 0;
+    require(pi < procs_.size(), "proc_busy: no such proc");
+    return procs_[pi].busy;
 }
 
 void
 Simulation::abort_proc(ProcId pid)
 {
     const auto pi = static_cast<std::size_t>(pid);
-    require(pi < proc_tenant_.size(), "abort_proc: no such proc");
-    if (!proc_busy_[pi])
+    require(pi < procs_.size(), "abort_proc: no such proc");
+    Proc& p = procs_[pi];
+    if (!p.busy)
         return;
-    // Same per-proc discipline as crash_node: settle for consistent
-    // accounting, cancel the completion, drop the callback — the
-    // in-flight work is abandoned, not finished.
-    settle(pi);
-    queue_.cancel(proc_event_[pi]);
-    proc_busy_[pi] = 0;
-    proc_remaining_[pi] = 0.0;
-    proc_done_[pi] = nullptr;
+    // Settle for consistent accounting, then cancel the completion,
+    // which drops the done callback with it: the in-flight work is
+    // abandoned, not finished.
+    settle(p);
+    queue_.cancel(p.event);
+    p.busy = false;
+    p.remaining = 0.0;
 }
 
 bool
@@ -218,19 +220,9 @@ Simulation::crash_node(NodeId node)
     ++stats_.node_crashes;
     IMC_OBS_COUNT("sim.node_crashes");
 
-    // Kill in-flight work first: settle (for consistent accounting),
-    // cancel the completion, and drop the done callback — the work is
-    // lost with the node.
-    for (const ProcId pid : node_procs_[ni]) {
-        const auto pi = static_cast<std::size_t>(pid);
-        if (!proc_busy_[pi])
-            continue;
-        settle(pi);
-        queue_.cancel(proc_event_[pi]);
-        proc_busy_[pi] = 0;
-        proc_remaining_[pi] = 0.0;
-        proc_done_[pi] = nullptr;
-    }
+    // Kill in-flight work first: the work is lost with the node.
+    for (const ProcId pid : node_procs_[ni])
+        abort_proc(pid);
 
     // Then drop the tenants and re-solve the (now empty) node.
     auto& list = node_tenants_[ni];
@@ -254,7 +246,7 @@ Simulation::run(std::uint64_t max_events)
     const std::uint64_t start = queue_.executed();
     const SimStats stats_before = stats_;
     (void)stats_before; // consumed only by the obs block below
-    while (queue_.pop_and_run()) {
+    while (step()) {
         invariant(queue_.executed() - start <= max_events,
                   "Simulation::run: event budget exceeded (runaway?)");
     }
@@ -280,7 +272,14 @@ Simulation::run(std::uint64_t max_events)
 bool
 Simulation::step()
 {
-    return queue_.pop_and_run();
+    EventQueue::Fired ev;
+    if (!queue_.pop(ev))
+        return false;
+    if (ev.tag != EventQueue::kNoTag)
+        complete(static_cast<ProcId>(ev.tag));
+    if (ev.cb)
+        ev.cb();
+    return true;
 }
 
 void
@@ -320,56 +319,55 @@ Simulation::resolve_node(NodeId node)
     // node's: the per-node index list spares a scan of every proc in
     // the cluster.
     for (const ProcId pid : node_procs_[ni]) {
-        const auto pi = static_cast<std::size_t>(pid);
-        if (!proc_busy_[pi])
+        Proc& p = procs_[static_cast<std::size_t>(pid)];
+        if (!p.busy)
             continue;
-        reschedule_proc(
-            pi,
-            tenant_slowdown_[static_cast<std::size_t>(proc_tenant_[pi])]);
+        reschedule_proc(p,
+                        tenant_slowdown_[static_cast<std::size_t>(p.tenant)]);
     }
 }
 
 void
-Simulation::settle(std::size_t pid)
+Simulation::settle(Proc& p)
 {
-    const double elapsed = now() - proc_last_update_[pid];
-    proc_remaining_[pid] = std::max(
-        0.0, proc_remaining_[pid] - elapsed * proc_rate_[pid]);
-    proc_last_update_[pid] = now();
+    const double elapsed = now() - p.last_update;
+    p.remaining = std::max(0.0, p.remaining - elapsed * p.rate);
+    p.last_update = now();
 }
 
 void
-Simulation::reschedule_proc(std::size_t pid, double slowdown)
+Simulation::reschedule_proc(Proc& p, double slowdown)
 {
-    settle(pid);
-    proc_rate_[pid] = 1.0 / slowdown;
+    settle(p);
+    p.rate = 1.0 / slowdown;
     ++stats_.proc_reschedules;
-    const bool pending = queue_.reschedule(
-        proc_event_[pid], now() + completion_delay(pid));
+    const bool pending =
+        queue_.reschedule(p.event, now() + completion_delay(p));
     invariant(pending, "reschedule_proc: busy proc has no completion");
 }
 
 double
-Simulation::completion_delay(std::size_t pid) const
+Simulation::completion_delay(const Proc& p)
 {
-    invariant(proc_rate_[pid] > 0.0, "completion_delay: nonpositive rate");
-    return proc_remaining_[pid] / proc_rate_[pid];
+    invariant(p.rate > 0.0, "completion_delay: nonpositive rate");
+    return p.remaining / p.rate;
 }
 
 void
 Simulation::complete(ProcId pid)
 {
-    const auto pi = static_cast<std::size_t>(pid);
-    invariant(proc_busy_[pi], "complete: proc not busy");
-    settle(pi);
-    invariant(proc_remaining_[pi] <= 1e-9,
+    Proc& p = procs_[static_cast<std::size_t>(pid)];
+    invariant(p.busy, "complete: proc not busy");
+    settle(p);
+    // The completion time now() + remaining / rate rounded to within
+    // an ulp of now(), which leaves up to that much time's work
+    // unsettled: bound the remainder by a few ulp of now() at the
+    // proc's rate, not only absolutely.
+    constexpr double kEps = std::numeric_limits<double>::epsilon();
+    invariant(p.remaining <= 1e-9 + 4.0 * kEps * now() * p.rate,
               "complete: fired with work remaining");
-    proc_busy_[pi] = 0;
-    proc_remaining_[pi] = 0.0;
-    Callback done = std::move(proc_done_[pi]);
-    proc_done_[pi] = nullptr;
-    if (done)
-        done();
+    p.busy = false;
+    p.remaining = 0.0;
 }
 
 std::size_t
@@ -389,13 +387,7 @@ Simulation::approx_bytes() const
     bytes += tenant_live_.capacity() * sizeof(char);
     bytes += tenant_slowdown_.capacity() * sizeof(double);
     bytes += tenant_demand_.capacity() * sizeof(TenantDemand);
-    bytes += proc_tenant_.capacity() * sizeof(TenantId);
-    bytes += proc_busy_.capacity() * sizeof(char);
-    bytes += proc_remaining_.capacity() * sizeof(double);
-    bytes += proc_rate_.capacity() * sizeof(double);
-    bytes += proc_last_update_.capacity() * sizeof(double);
-    bytes += proc_event_.capacity() * sizeof(EventId);
-    bytes += proc_done_.capacity() * sizeof(Callback);
+    bytes += procs_.capacity() * sizeof(Proc);
     return bytes;
 }
 

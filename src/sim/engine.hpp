@@ -18,9 +18,12 @@
  * second at slowdown 1.0.
  *
  * Scale architecture (see DESIGN.md §7): the engine's hot path is
- * node-local. Tenant and proc state live in struct-of-arrays so a
- * re-solve streams over contiguous memory; per-node tenant and proc
- * index lists make each re-solve O(node population) instead of
+ * node-local, and its state is grouped by access. Tenant state lives
+ * in struct-of-arrays, so a re-solve streams over contiguous memory.
+ * Each proc is one record, so a settle, re-rate or completion touches
+ * one record, and its completion is a queue event tagged with its
+ * ProcId that carries the caller's done callback. Per-node tenant and
+ * proc index lists make each re-solve O(node population) instead of
  * O(cluster); the indexed event queue moves a re-rated completion in
  * place in O(log n); and a resolve *batch* (ResolveBatch) coalesces
  * many mutations into one re-solve per dirtied node.
@@ -211,6 +214,20 @@ class Simulation {
     std::size_t approx_bytes() const;
 
   private:
+    /**
+     * One proc's state. A settle, re-rate or completion reads and
+     * writes this record and nothing else; the proc's done callback
+     * rides in its pending completion event.
+     */
+    struct Proc {
+        double remaining = 0.0;   // work units left
+        double rate = 1.0;        // work units per second
+        double last_update = 0.0; // last settle time
+        EventId event = 0;        // pending completion event
+        TenantId tenant = 0;
+        bool busy = false;
+    };
+
     /** Re-solve a node now, or mark it dirty inside a batch. */
     void refresh_node(NodeId node);
 
@@ -218,15 +235,15 @@ class Simulation {
     void resolve_node(NodeId node);
 
     /** Settle a busy proc's remaining work up to now(). */
-    void settle(std::size_t pid);
+    void settle(Proc& p);
 
     /** Settle + re-rate + reschedule one busy proc of a node. */
-    void reschedule_proc(std::size_t pid, double slowdown);
+    void reschedule_proc(Proc& p, double slowdown);
 
     /** Seconds until a busy proc's remaining work completes. */
-    double completion_delay(std::size_t pid) const;
+    static double completion_delay(const Proc& p);
 
-    /** Fire a proc's completion. */
+    /** Finish a proc's compute; step() then runs its done callback. */
     void complete(ProcId pid);
 
     ClusterSpec spec_;
@@ -251,16 +268,7 @@ class Simulation {
     std::vector<double> tenant_slowdown_;
     std::vector<TenantDemand> tenant_demand_;
 
-    // Proc state, struct-of-arrays (indexed by ProcId). The done
-    // callbacks sit in their own (cold) array so the settle/reschedule
-    // loops never pull std::function payloads through the cache.
-    std::vector<TenantId> proc_tenant_;
-    std::vector<char> proc_busy_;
-    std::vector<double> proc_remaining_;   // work units left
-    std::vector<double> proc_rate_;        // work units per second
-    std::vector<double> proc_last_update_; // last settle time
-    std::vector<EventId> proc_event_;      // pending completion event
-    std::vector<Callback> proc_done_;
+    std::vector<Proc> procs_; // indexed by ProcId
 
     // Dirty-set batching.
     int batch_depth_ = 0;

@@ -21,11 +21,11 @@ constexpr double kPastSlack = 1e-12;
 } // namespace
 
 EventId
-EventQueue::schedule_at(double time, Callback cb)
+EventQueue::schedule_at(double time, Callback cb, std::uint32_t tag)
 {
     require(time >= now_ - kPastSlack,
             "EventQueue: cannot schedule into the past");
-    require(static_cast<bool>(cb), "EventQueue: null callback");
+    require(cb || tag != kNoTag, "EventQueue: null callback");
     std::uint32_t slot = free_head_;
     if (slot != kNone) {
         free_head_ = slots_[slot].pos;
@@ -33,14 +33,13 @@ EventQueue::schedule_at(double time, Callback cb)
         require(slots_.size() < kNone, "EventQueue: too many events");
         slot = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
+        callbacks_.emplace_back();
     }
-    Slot& s = slots_[slot];
-    s.cb = std::move(cb);
-    ++s.generation; // odd: live
-    const EventId id = (EventId{s.generation} << 32) | slot;
-    heap_.push_back(Entry{time, next_seq_++, slot});
+    callbacks_[slot] = std::move(cb);
+    const std::uint32_t generation = ++slots_[slot].generation; // odd
+    heap_.push_back(Entry{time, next_seq_++, slot, tag});
     sift_up(heap_.size() - 1);
-    return id;
+    return (EventId{generation} << 32) | slot;
 }
 
 void
@@ -69,19 +68,19 @@ EventQueue::reschedule(EventId id, double time)
 }
 
 bool
-EventQueue::pop_and_run()
+EventQueue::pop(Fired& out)
 {
     if (heap_.empty())
         return false;
     const Entry top = heap_.front();
     erase_at(0);
-    Callback cb = std::move(slots_[top.slot].cb);
+    out.tag = top.tag;
+    out.cb = std::move(callbacks_[top.slot]);
     release(top.slot);
     invariant(top.time >= now_ - kPastSlack,
               "EventQueue: time went backwards");
     now_ = std::max(now_, top.time);
     ++executed_;
-    cb();
     return true;
 }
 
@@ -89,6 +88,7 @@ std::size_t
 EventQueue::approx_bytes() const
 {
     return slots_.capacity() * sizeof(Slot) +
+           callbacks_.capacity() * sizeof(Callback) +
            heap_.capacity() * sizeof(Entry);
 }
 
@@ -106,8 +106,8 @@ EventQueue::live_slot(EventId id) const
 void
 EventQueue::release(std::uint32_t slot)
 {
+    callbacks_[slot] = nullptr;
     Slot& s = slots_[slot];
-    s.cb = nullptr;
     ++s.generation; // even: free
     s.pos = free_head_;
     free_head_ = slot;

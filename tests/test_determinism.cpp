@@ -41,6 +41,14 @@ fast_cfg()
     return cfg;
 }
 
+/** Pop and run every pending event. */
+void
+drain(sim::EventQueue& q)
+{
+    for (sim::EventQueue::Fired ev; q.pop(ev);)
+        ev.cb();
+}
+
 /**
  * Fire the canonical tie-heavy event schedule and return the firing
  * order by payload. @p churn schedules that many throwaway events
@@ -59,8 +67,7 @@ firing_order(int churn)
         if (i % 3 == 0)
             q.cancel(ids[i]);
     }
-    while (q.pop_and_run()) {
-    }
+    drain(q);
 
     std::vector<int> fired;
     for (int i = 0; i < 200; ++i) {
@@ -69,8 +76,7 @@ firing_order(int churn)
         const double t = static_cast<double>((i * 37) % 50);
         q.schedule_at(t, [&fired, i] { fired.push_back(i); });
     }
-    while (q.pop_and_run()) {
-    }
+    drain(q);
     return fired;
 }
 

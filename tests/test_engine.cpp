@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 
@@ -180,6 +182,8 @@ TEST(Engine, TenantsOnCountsPerNode)
     EXPECT_EQ(sim.tenants_on(1), 1);
     sim.remove_tenant(b);
     EXPECT_EQ(sim.tenants_on(0), 1);
+    EXPECT_THROW(sim.tenants_on(2), imc::ConfigError);
+    EXPECT_THROW(sim.tenants_on(-1), imc::ConfigError);
 }
 
 TEST(Engine, NodeOfReportsPlacement)
@@ -220,4 +224,82 @@ TEST(Engine, TwoProcsOfOneTenantShareSlowdown)
     sim.compute(p2, 4.0, [&] { f2 = sim.now(); });
     sim.run();
     EXPECT_DOUBLE_EQ(f1, f2);
+}
+
+TEST(Engine, CompletesAtLargeSimulatedTimes)
+{
+    // A completion fires at now() + remaining / rate rounded to an ulp
+    // of now(): about 1.2e-7 s at t = 1e9 s. The work still unsettled
+    // when it fires scales with that ulp, far above 1e-9 units.
+    for (const double start : {3.0e7, 1.0e8, 1.0e9}) {
+        Simulation sim(small_cluster());
+        const TenantId v = sim.add_tenant(0, victim());
+        sim.add_tenant(0, aggressor());
+        const ProcId p = sim.add_proc(v);
+        int done = 0;
+        std::function<void()> next = [&] {
+            if (done < 50) {
+                const double work = 0.3 + 0.7 * done / 49.0;
+                sim.compute(p, work, [&] {
+                    ++done;
+                    next();
+                });
+            }
+        };
+        sim.schedule(start, next);
+        ASSERT_NO_THROW(sim.run()) << "start " << start;
+        EXPECT_EQ(done, 50);
+        EXPECT_NEAR(sim.now(), start + 32.5 * sim.tenant_slowdown(v),
+                    1e-4);
+    }
+    // Long computes reach large times from t = 0 too.
+    for (int i = 0; i < 50; ++i) {
+        Simulation sim(small_cluster());
+        const TenantId v = sim.add_tenant(0, victim());
+        sim.add_tenant(0, aggressor());
+        const ProcId p = sim.add_proc(v);
+        bool finished = false;
+        sim.compute(p, 1.0e8 * (1.0 + i / 49.0), [&] { finished = true; });
+        ASSERT_NO_THROW(sim.run()) << "compute " << i;
+        EXPECT_TRUE(finished);
+    }
+}
+
+TEST(Engine, AbortProcDropsItsDoneCallback)
+{
+    Simulation sim(small_cluster());
+    const TenantId t = sim.add_tenant(0, light());
+    const ProcId p = sim.add_proc(t);
+    const auto capture = std::make_shared<int>(0);
+    bool ran = false;
+    sim.compute(p, 5.0, [&ran, capture] { ran = true; });
+    EXPECT_EQ(capture.use_count(), 2);
+    sim.abort_proc(p);
+    EXPECT_FALSE(sim.proc_busy(p));
+    EXPECT_EQ(capture.use_count(), 1); // released at once, not at run()
+    sim.abort_proc(p);                 // idle: a no-op
+    EXPECT_FALSE(sim.proc_busy(p));
+
+    // The proc computes again, and only the new callback fires.
+    bool again = false;
+    sim.compute(p, 2.0, [&] { again = true; });
+    sim.run();
+    EXPECT_FALSE(ran);
+    EXPECT_TRUE(again);
+    EXPECT_NEAR(sim.now(), 2.0, 1e-3);
+
+    // crash_node releases its busy procs' callbacks the same way.
+    const TenantId u = sim.add_tenant(1, light());
+    const ProcId q1 = sim.add_proc(u);
+    const ProcId q2 = sim.add_proc(u);
+    bool crashed_ran = false;
+    sim.compute(q1, 3.0, [&crashed_ran, capture] { crashed_ran = true; });
+    sim.compute(q2, 4.0, [&crashed_ran, capture] { crashed_ran = true; });
+    EXPECT_EQ(capture.use_count(), 3);
+    sim.crash_node(1);
+    EXPECT_EQ(capture.use_count(), 1);
+    EXPECT_FALSE(sim.proc_busy(q1));
+    EXPECT_FALSE(sim.proc_busy(q2));
+    sim.run();
+    EXPECT_FALSE(crashed_ran);
 }

@@ -3,17 +3,19 @@
  * Unit tests of the cancellable, reschedulable event queue.
  *
  * The contract suite asserts every ordering, cancellation,
- * rescheduling and liveness guarantee. The randomized oracle drives
- * 100k+ mixed operations (schedule/pop/cancel/reschedule, heavy time
- * ties, far-future outliers, and cancels/reschedules of already-fired
- * ids whose slots have been reused) against a std::map ordered by
- * (time, insertion seq) — the exact order the queue promises, with a
- * reschedule taking a fresh seq as cancel + schedule_at would.
+ * rescheduling, tagging and liveness guarantee. The randomized oracle
+ * drives 100k+ mixed operations (schedule/pop/cancel/reschedule of
+ * callback and tagged events, heavy time ties, far-future outliers,
+ * and cancels/reschedules of already-fired ids whose slots have been
+ * reused) against a std::map ordered by (time, insertion seq) — the
+ * exact order the queue promises, with a reschedule taking a fresh seq
+ * as cancel + schedule_at would.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,6 +23,37 @@
 #include "sim/event_queue.hpp"
 
 using namespace imc::sim;
+
+namespace {
+
+constexpr std::uint32_t kNoTag = EventQueue::kNoTag;
+
+/** Pop the next event and run its callback; false when empty. */
+bool
+run_next(EventQueue& q)
+{
+    EventQueue::Fired ev;
+    if (!q.pop(ev))
+        return false;
+    if (ev.cb)
+        ev.cb();
+    return true;
+}
+
+/** Pop every pending event, running callbacks; return their tags. */
+std::vector<std::uint32_t>
+drain_tags(EventQueue& q)
+{
+    std::vector<std::uint32_t> tags;
+    for (EventQueue::Fired ev; q.pop(ev);) {
+        tags.push_back(ev.tag);
+        if (ev.cb)
+            ev.cb();
+    }
+    return tags;
+}
+
+} // namespace
 
 class EventQueueContract : public ::testing::Test {
   protected:
@@ -34,7 +67,7 @@ TEST_F(EventQueueContract, RunsInTimeOrder)
     q.schedule_at(2.0, [&] { order.push_back(2); });
     q.schedule_at(1.0, [&] { order.push_back(1); });
     q.schedule_at(3.0, [&] { order.push_back(3); });
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_DOUBLE_EQ(q.now(), 3.0);
@@ -46,7 +79,7 @@ TEST_F(EventQueueContract, TiesBreakFifo)
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
         q.schedule_at(1.0, [&order, i] { order.push_back(i); });
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -57,7 +90,7 @@ TEST_F(EventQueueContract, CancelPreventsExecution)
     bool ran = false;
     const EventId id = q.schedule_at(1.0, [&] { ran = true; });
     q.cancel(id);
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_FALSE(ran);
     EXPECT_EQ(q.executed(), 0u);
@@ -79,7 +112,7 @@ TEST_F(EventQueueContract, CancelOfAbsentIdIsHarmless)
     int fired = 0;
     const EventId id = q.schedule_at(1.0, [&] { ++fired; });
     q.cancel(id + 1000); // also never scheduled
-    ASSERT_TRUE(q.pop_and_run());
+    ASSERT_TRUE(run_next(q));
     q.cancel(id); // already fired
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.executed(), 1u);
@@ -94,7 +127,7 @@ TEST_F(EventQueueContract, SizeTracksLiveEvents)
     EXPECT_EQ(q.size(), 2u);
     q.cancel(a);
     EXPECT_EQ(q.size(), 1u);
-    q.pop_and_run();
+    run_next(q);
     EXPECT_TRUE(q.empty());
 }
 
@@ -106,7 +139,7 @@ TEST_F(EventQueueContract, EventsMayScheduleMoreEvents)
         ++fired;
         q.schedule_at(2.0, [&] { ++fired; });
     });
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_EQ(fired, 2);
     EXPECT_DOUBLE_EQ(q.now(), 2.0);
@@ -116,7 +149,7 @@ TEST_F(EventQueueContract, SchedulingIntoThePastThrows)
 {
     auto& q = queue_;
     q.schedule_at(5.0, [] {});
-    q.pop_and_run();
+    run_next(q);
     EXPECT_THROW(q.schedule_at(4.0, [] {}), imc::ConfigError);
     const EventId id = q.schedule_at(6.0, [] {});
     EXPECT_THROW(q.reschedule(id, 4.0), imc::ConfigError);
@@ -131,7 +164,7 @@ TEST_F(EventQueueContract, NullCallbackRejected)
 
 TEST_F(EventQueueContract, PopOnEmptyReturnsFalse)
 {
-    EXPECT_FALSE(queue_.pop_and_run());
+    EXPECT_FALSE(run_next(queue_));
 }
 
 TEST_F(EventQueueContract, ExecutedCountsOnlyRealRuns)
@@ -140,7 +173,7 @@ TEST_F(EventQueueContract, ExecutedCountsOnlyRealRuns)
     q.schedule_at(1.0, [] {});
     const EventId id = q.schedule_at(2.0, [] {});
     q.cancel(id);
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_EQ(q.executed(), 1u);
 }
@@ -167,7 +200,7 @@ TEST_F(EventQueueContract, FifoSurvivesInternalReorganization)
     // window, then drain.
     for (std::size_t i = 0; i < spread.size(); i += 2)
         q.cancel(spread[i]);
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     ASSERT_EQ(tied_order.size(), 512u);
     for (int i = 0; i < 512; ++i)
@@ -186,7 +219,7 @@ TEST_F(EventQueueContract, FarFutureEventsFireInOrder)
     q.schedule_at(1.0e6, [&] { order.push_back(2); });
     q.schedule_at(0.75, [&] { order.push_back(1); });
     q.schedule_at(1.0e12, [&] { order.push_back(4); }); // ties FIFO
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -204,7 +237,7 @@ TEST_F(EventQueueContract, RescheduleOntoATieQueuesBehindIt)
     EXPECT_TRUE(q.reschedule(moved, 2.0));
     EXPECT_TRUE(q.reschedule(moved, 2.0)); // again: still behind
     EXPECT_EQ(q.size(), 3u);
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
     EXPECT_FALSE(q.reschedule(moved, 4.0)); // fired: stale
@@ -219,7 +252,7 @@ TEST_F(EventQueueContract, StaleIdNeverTouchesAReusedSlot)
     auto& q = queue_;
     const EventId fired = q.schedule_at(1.0, [] {});
     const EventId cancelled = q.schedule_at(2.0, [] {});
-    ASSERT_TRUE(q.pop_and_run());
+    ASSERT_TRUE(run_next(q));
     q.cancel(cancelled);
     ASSERT_TRUE(q.empty());
 
@@ -233,7 +266,7 @@ TEST_F(EventQueueContract, StaleIdNeverTouchesAReusedSlot)
         EXPECT_FALSE(q.reschedule(stale, 10.0));
     }
     EXPECT_EQ(q.size(), 2u);
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
     EXPECT_DOUBLE_EQ(q.now(), 4.0);
@@ -254,7 +287,7 @@ TEST_F(EventQueueContract, TieHeavyDrainKeepsFifoPerTimestamp)
     for (int i = 0; i < kEvents; ++i)
         q.schedule_at(static_cast<double>(i % kTimes),
                       [&fired, i] { fired.push_back(i); });
-    while (q.pop_and_run()) {
+    while (run_next(q)) {
     }
     ASSERT_EQ(fired.size(), static_cast<std::size_t>(kEvents));
     for (int k = 0; k < kEvents; ++k) {
@@ -265,6 +298,67 @@ TEST_F(EventQueueContract, TieHeavyDrainKeepsFifoPerTimestamp)
     }
 }
 
+TEST_F(EventQueueContract, TaggedEventsPopInOrderWithCallbackEvents)
+{
+    // Tagged and callback events share one (time, seq) order; pop
+    // hands back each tag, and a tagged event may carry a callback or
+    // none.
+    auto& q = queue_;
+    std::vector<int> order;
+    q.schedule_at(2.0, [&] { order.push_back(2); });
+    q.schedule_at(1.0, Callback{}, 7);
+    q.schedule_at(2.0, [&] { order.push_back(3); }, 9); // tie: FIFO
+    q.schedule_at(0.5, [&] { order.push_back(1); });
+    q.schedule_at(1.0, Callback{}, 0);
+    EXPECT_EQ(drain_tags(q),
+              (std::vector<std::uint32_t>{kNoTag, 7, 0, kNoTag, 9}));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(q.executed(), 5u);
+    EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST_F(EventQueueContract, CancelAndRescheduleWorkOnTaggedIds)
+{
+    auto& q = queue_;
+    const auto capture = std::make_shared<int>(0);
+    const EventId a = q.schedule_at(1.0, [capture] {}, 1);
+    const EventId b = q.schedule_at(2.0, Callback{}, 2);
+    q.schedule_at(3.0, Callback{}, 3);
+    EXPECT_EQ(capture.use_count(), 2);
+    q.cancel(a);
+    EXPECT_EQ(capture.use_count(), 1); // the callback died with it
+    EXPECT_TRUE(q.reschedule(b, 3.0)); // now queues behind tag 3
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(drain_tags(q), (std::vector<std::uint32_t>{3, 2}));
+    EXPECT_EQ(q.executed(), 2u);
+}
+
+TEST_F(EventQueueContract, StaleTaggedIdMatchesNothing)
+{
+    // A fired and a cancelled tagged event free their slots, and new
+    // tagged events reuse them: the old ids leave the new ones alone.
+    auto& q = queue_;
+    const EventId fired = q.schedule_at(1.0, Callback{}, 5);
+    const EventId cancelled = q.schedule_at(2.0, Callback{}, 6);
+    EventQueue::Fired ev;
+    ASSERT_TRUE(q.pop(ev));
+    EXPECT_EQ(ev.tag, 5u);
+    EXPECT_FALSE(static_cast<bool>(ev.cb));
+    q.cancel(cancelled);
+    ASSERT_TRUE(q.empty());
+
+    const EventId a = q.schedule_at(3.0, Callback{}, 7);
+    const EventId b = q.schedule_at(4.0, Callback{}, 8);
+    for (const EventId stale : {fired, cancelled}) {
+        EXPECT_NE(stale, a);
+        EXPECT_NE(stale, b);
+        q.cancel(stale);
+        EXPECT_FALSE(q.reschedule(stale, 10.0));
+    }
+    EXPECT_EQ(drain_tags(q), (std::vector<std::uint32_t>{7, 8}));
+    EXPECT_DOUBLE_EQ(q.now(), 4.0);
+}
+
 namespace {
 
 /**
@@ -273,7 +367,8 @@ namespace {
  * balanced with heavy ties, and pop-heavy (drain). Time offsets mix a
  * small tie-heavy grid, a medium uniform spread, and rare far-future
  * outliers. A reschedule re-keys its event with a fresh seq — the
- * order cancel + schedule_at would give it.
+ * order cancel + schedule_at would give it. Events cycle through
+ * three kinds: a callback, a tag plus a callback, and a bare tag.
  */
 void
 randomized_oracle(EventQueue& q, int ops, std::uint64_t seed)
@@ -281,6 +376,8 @@ randomized_oracle(EventQueue& q, int ops, std::uint64_t seed)
     struct Pending {
         EventId id;
         std::uint64_t token;
+        std::uint32_t tag;
+        bool has_cb;
     };
     using Key = std::pair<double, std::uint64_t>;
     std::map<Key, Pending> oracle;
@@ -290,6 +387,21 @@ randomized_oracle(EventQueue& q, int ops, std::uint64_t seed)
     imc::Rng rng(seed);
     std::uint64_t seq = 0;
     std::uint64_t expected_executed = 0;
+
+    // Pop one event and check it is @p want: same tag, and a callback
+    // (run here) exactly when it had one, firing its token.
+    auto pop_expect = [&](const Pending& want) {
+        EventQueue::Fired ev;
+        const std::size_t before = fired.size();
+        ASSERT_TRUE(q.pop(ev));
+        ASSERT_EQ(ev.tag, want.tag);
+        ASSERT_EQ(static_cast<bool>(ev.cb), want.has_cb);
+        if (!want.has_cb)
+            return;
+        ev.cb();
+        ASSERT_EQ(fired.size(), before + 1);
+        ASSERT_EQ(fired.back(), want.token);
+    };
 
     auto draw_time = [&] {
         double when = q.now();
@@ -320,28 +432,31 @@ randomized_oracle(EventQueue& q, int ops, std::uint64_t seed)
         if (kind < w_schedule) {
             const double when = draw_time();
             const std::uint64_t token = seq;
-            const EventId id = q.schedule_at(
-                when, [&fired, token] { fired.push_back(token); });
-            oracle.emplace(Key{when, seq}, Pending{id, token});
+            const bool tagged = token % 3 != 0;
+            const bool has_cb = token % 3 != 2;
+            const std::uint32_t tag =
+                tagged ? static_cast<std::uint32_t>(token) : kNoTag;
+            Callback cb;
+            if (has_cb)
+                cb = [&fired, token] { fired.push_back(token); };
+            const EventId id = q.schedule_at(when, std::move(cb), tag);
+            oracle.emplace(Key{when, seq}, Pending{id, token, tag, has_cb});
             by_id.emplace(id, Key{when, seq});
             ++seq;
             ids.push_back(id);
         } else if (kind < w_schedule + w_pop) {
             ASSERT_EQ(q.size(), oracle.size());
             if (oracle.empty()) {
-                EXPECT_FALSE(q.pop_and_run());
+                EXPECT_FALSE(run_next(q));
                 continue;
             }
             const auto next = oracle.begin();
             const double when = next->first.first;
-            const std::uint64_t expect_token = next->second.token;
-            by_id.erase(next->second.id);
+            const Pending want = next->second;
+            by_id.erase(want.id);
             oracle.erase(next);
-            const std::size_t before = fired.size();
-            ASSERT_TRUE(q.pop_and_run());
+            ASSERT_NO_FATAL_FAILURE(pop_expect(want));
             ++expected_executed;
-            ASSERT_EQ(fired.size(), before + 1);
-            ASSERT_EQ(fired.back(), expect_token);
             ASSERT_DOUBLE_EQ(q.now(), when);
         } else if (kind < w_schedule + w_pop + w_cancel) {
             if (ids.empty())
@@ -386,12 +501,11 @@ randomized_oracle(EventQueue& q, int ops, std::uint64_t seed)
     // Drain: the remaining events must come out in oracle order.
     while (!oracle.empty()) {
         const auto next = oracle.begin();
-        const std::uint64_t expect_token = next->second.token;
+        const Pending want = next->second;
         oracle.erase(next);
-        ASSERT_TRUE(q.pop_and_run());
-        ASSERT_EQ(fired.back(), expect_token);
+        ASSERT_NO_FATAL_FAILURE(pop_expect(want));
     }
-    EXPECT_FALSE(q.pop_and_run());
+    EXPECT_FALSE(run_next(q));
     EXPECT_TRUE(q.empty());
 }
 
