@@ -10,16 +10,11 @@
  * of the static model vs the refined model over the *next*
  * observations (train on a prefix, evaluate on the rest — no
  * peeking).
- *
- * Usage: ablation_online [--apps M.Gems,H.KM,S.PR] [--train 10]
- *                        [--eval 10] [--seed S] [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -27,17 +22,18 @@
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     auto cfg = benchutil::config_from_cli(cli);
     if (!cli.has("reps"))
         cfg.reps = 1; // each observation is a single production run
+    const auto service = benchutil::service_from_cli(cli);
     const int train = cli.get_int("train", 25);
     const int eval_n = cli.get_int("eval", 10);
+    const double alpha = cli.get_double("alpha", 0.15);
 
     std::vector<std::string> abbrevs = cli.get_list("apps");
     if (abbrevs.empty())
@@ -48,7 +44,6 @@ main(int argc, char** argv)
               << ", train=" << train << " observations, eval="
               << eval_n << ", seed=" << cfg.seed << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
     const auto nodes = workload::all_nodes(cfg.cluster);
@@ -64,9 +59,8 @@ main(int argc, char** argv)
                  "improvement"});
     for (const auto& abbrev : abbrevs) {
         const auto& app = workload::find_app(abbrev);
-        core::OnlineRefiner refiner(
-            registry.model(app, m).model,
-            cli.get_double("alpha", 0.15));
+        core::OnlineRefiner refiner(registry.model(app, m).model,
+                                    alpha);
         const std::vector<double> pressures(
             static_cast<std::size_t>(m), gems_score);
 
@@ -125,4 +119,15 @@ main(int argc, char** argv)
                  "learns the systematic bias the static profile "
                  "misses)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "train", "eval", "alpha", "seed", "reps",
+                      "threads"},
+                     run);
 }

@@ -6,15 +6,11 @@
  * reaches it, (b) how many iterations it needs, and (c) the size of
  * the exact search space — justifying the paper's choice of a
  * stochastic search that also scales beyond enumerable cases.
- *
- * Usage: ablation_placement [--mixes HW1,L] [--seed S] [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "placement/annealer.hpp"
@@ -24,13 +20,15 @@
 using namespace imc;
 using namespace imc::placement;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
+    const auto service = benchutil::service_from_cli(cli);
+    // Default 1 keeps the recorded results reproducible.
+    const int chains = cli.get_int("chains", 1);
 
     std::vector<Mix> mixes;
     const auto mix_names = cli.get_list("mixes");
@@ -46,7 +44,6 @@ main(int argc, char** argv)
               << cfg.cluster.name << ", seed=" << cfg.seed
               << ", reps=" << cfg.reps << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
 
@@ -66,8 +63,7 @@ main(int argc, char** argv)
             opts.iterations = iterations;
             opts.seed =
                 hash_combine(cfg.seed, hash_string(mix.name));
-            // Default 1 keeps the recorded results reproducible.
-            opts.chains = cli.get_int("chains", 1);
+            opts.chains = chains;
             return anneal(initial, eval, Goal::MinimizeTotalTime,
                           std::nullopt, opts)
                 .total_time;
@@ -86,4 +82,14 @@ main(int argc, char** argv)
     std::cout << "\n(totals are model-predicted VM-weighted normalized "
                  "times; lower is better)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"mixes", "chains", "seed", "reps", "threads"},
+                     run);
 }

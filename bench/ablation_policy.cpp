@@ -5,16 +5,11 @@
  * design choice behind Section 3.3)? For each distributed
  * application, heterogeneous validation error is reported under each
  * forced policy and under the selected best policy.
- *
- * Usage: ablation_policy [--apps A,B] [--samples 40] [--seed S]
- *                        [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -24,12 +19,11 @@
 using namespace imc;
 using namespace imc::core;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
     const int samples = cli.get_int("samples", 40);
     const auto apps = benchutil::apps_from_cli(cli);
@@ -84,4 +78,14 @@ main(int argc, char** argv)
               << fmt_fixed(selected_stat.mean(), 2)
               << "%  <- per-app selection (the paper's design)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "samples", "seed", "reps", "threads"},
+                     run);
 }

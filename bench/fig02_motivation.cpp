@@ -6,28 +6,24 @@
  * execution time, but the real (simulated) runs jump as soon as a
  * single node is interfered — barrier coupling propagates local
  * interference to the whole application.
- *
- * Usage: fig02_motivation [--seed S] [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/chart.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
+    const auto service = benchutil::service_from_cli(cli);
     const auto nodes = workload::all_nodes(cfg.cluster);
     const int m = cfg.cluster.num_nodes;
 
@@ -42,7 +38,6 @@ main(int argc, char** argv)
 
     // One batch: the solo baseline plus every co-run point (libquantum
     // restarts on j nodes until lammps finishes).
-    const auto service = benchutil::service_from_cli(cli);
     std::vector<workload::RunRequest> reqs;
     workload::RunConfig solo_cfg = cfg;
     solo_cfg.salt = hash_string("fig02-solo");
@@ -93,9 +88,13 @@ main(int argc, char** argv)
               << fmt_pct(one_node_fraction)
               << " (naive model predicts " << fmt_pct(1.0 / m)
               << ")\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv, {"seed", "reps", "threads"}, run);
 }

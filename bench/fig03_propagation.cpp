@@ -11,9 +11,6 @@
  *  - proportional propagation (M.Gems): a near-linear rise with the
  *    number of interfering nodes;
  *  - low propagation (H.KM, S.PR): close to 1.0 throughout.
- *
- * Usage: fig03_propagation [--apps A,B,...] [--reps N] [--seed S]
- *                          [--pressures 2,5,8] [--csv]
  */
 
 #include <iostream>
@@ -23,31 +20,19 @@
 #include "bench_util.hpp"
 #include "common/chart.hpp"
 #include "common/cli.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
-#include "common/strings.hpp"
-#include "common/table.hpp"
 #include "workload/catalog.hpp"
 #include "workload/run_service.hpp"
 #include "workload/runner.hpp"
 
 using namespace imc;
 
-int
-main(int argc, char** argv)
-{
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
-    workload::RunConfig cfg;
-    cfg.seed = cli.get_u64("seed", 42);
-    cfg.reps = cli.get_int("reps", 3);
+namespace {
 
-    std::vector<std::string> abbrevs = cli.get_list("apps");
-    if (abbrevs.empty()) {
-        for (const auto& app : workload::distributed_apps())
-            abbrevs.push_back(app.abbrev);
-    }
+int
+run(const Cli& cli)
+{
+    const auto cfg = benchutil::config_from_cli(cli);
+    const auto apps = benchutil::apps_from_cli(cli);
     std::vector<int> pressures = cli.get_int_list("pressures");
     if (pressures.empty()) {
         for (int p = 1; p <= 8; ++p)
@@ -64,11 +49,8 @@ main(int argc, char** argv)
               << "Normalized execution time vs number of interfering "
                  "nodes, one series per bubble pressure.\n\n";
 
-    Table csv({"app", "pressure", "interfering_nodes", "norm_time"});
-    for (const auto& abbrev : abbrevs) {
-        const auto& app = workload::find_app(abbrev);
-        SeriesChart chart(abbrev + " (" + app.name + ")",
-                          "nodes");
+    for (const auto& app : apps) {
+        SeriesChart chart(app.abbrev + " (" + app.name + ")", "nodes");
         std::vector<std::size_t> series;
         for (int p : pressures) {
             // Built via += rather than operator+ to dodge GCC 12's
@@ -99,20 +81,21 @@ main(int argc, char** argv)
 
         std::size_t k = 1;
         for (std::size_t pi = 0; pi < pressures.size(); ++pi) {
-            const int p = pressures[pi];
-            for (int j = 0; j <= m; ++j) {
-                const double t = times[k++] / solo;
-                chart.add_point(series[pi], j, t);
-                csv.add_row({abbrev, std::to_string(p),
-                             std::to_string(j), fmt_fixed(t, 4)});
-            }
+            for (int j = 0; j <= m; ++j)
+                chart.add_point(series[pi], j, times[k++] / solo);
         }
         chart.print(std::cout);
         std::cout << '\n';
     }
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        csv.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "pressures", "seed", "reps", "threads"},
+                     run);
 }

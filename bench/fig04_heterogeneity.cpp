@@ -5,16 +5,11 @@
  * mapping policies (N max, N+1 max, all max, interpolate) on each
  * distributed application, with min/max error bars — the paper's
  * 60-random-sample methodology on the 8-host cluster.
- *
- * Usage: fig04_heterogeneity [--apps A,B] [--samples 60] [--seed S]
- *                            [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/measure.hpp"
@@ -23,12 +18,11 @@
 using namespace imc;
 using namespace imc::core;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
     const int samples = cli.get_int("samples", 60);
     const auto apps = benchutil::apps_from_cli(cli);
@@ -77,9 +71,15 @@ main(int argc, char** argv)
     }
     std::cout << '\n';
     table.print(std::cout);
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "samples", "seed", "reps", "threads"},
+                     run);
 }

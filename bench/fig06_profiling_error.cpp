@@ -3,28 +3,22 @@
  * Reproduces Figure 6: per-application prediction error of the four
  * profiling techniques against the exhaustively measured sensitivity
  * matrix.
- *
- * Usage: fig06_profiling_error [--apps A,B] [--epsilon 0.05]
- *                              [--seed S] [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/chart.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
     const double epsilon = cli.get_double("epsilon", 0.05);
     const auto apps = benchutil::apps_from_cli(cli);
@@ -49,9 +43,15 @@ main(int argc, char** argv)
     table.print(std::cout);
     std::cout << "\n(values are mean absolute percentage error of the "
                  "reconstructed matrix, % )\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "epsilon", "seed", "reps", "threads"},
+                     run);
 }

@@ -5,16 +5,11 @@
  * (including itself); the model predicts the normalized execution
  * time from the co-runner's bubble score, and the figure reports the
  * per-application average error with 25-75% error bars.
- *
- * Usage: fig08_validation [--apps A,B] [--corunners C,D] [--seed S]
- *                         [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/chart.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -22,13 +17,13 @@
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
+    const auto service = benchutil::service_from_cli(cli);
     const auto targets = benchutil::apps_from_cli(cli);
     std::vector<workload::AppSpec> corunners;
     const auto corunner_names = cli.get_list("corunners");
@@ -45,7 +40,6 @@ main(int argc, char** argv)
               << cfg.cluster.name << ", seed=" << cfg.seed
               << ", reps=" << cfg.reps << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
 
@@ -67,9 +61,15 @@ main(int argc, char** argv)
     chart.print(std::cout);
     std::cout << '\n';
     table.print(std::cout);
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "corunners", "seed", "reps", "threads"},
+                     run);
 }

@@ -5,27 +5,23 @@
  * paper's least predictable co-runner, whose Xen Dom0 blocked-I/O
  * sensitivity makes its generated interference fluctuate when
  * co-located with the fluctuating-CPU Hadoop/Spark applications.
- *
- * Usage: fig09_gems_validation [--apps A,B] [--seed S] [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
+    const auto service = benchutil::service_from_cli(cli);
     const auto targets = benchutil::apps_from_cli(cli);
     const auto& gems = workload::find_app("M.Gems");
 
@@ -34,7 +30,6 @@ main(int argc, char** argv)
               << cfg.cluster.name << ", seed=" << cfg.seed
               << ", reps=" << cfg.reps << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
 
@@ -52,9 +47,13 @@ main(int argc, char** argv)
     table.print(std::cout);
     std::cout << "\n(the Dom0 effect makes errors largest for the "
                  "fluctuating-CPU Hadoop/Spark targets, Section 4.3)\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv, {"apps", "seed", "reps", "threads"}, run);
 }

@@ -9,16 +9,11 @@
  * chosen placements are then executed on the simulated cluster, which
  * reports whether the QoS actually held and the VM-weighted sum of
  * normalized runtimes — the paper's two panels.
- *
- * Usage: fig10_qos_placement [--seed S] [--reps N] [--iters 4000]
- *                            [--qos 0.8]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "placement/annealer.hpp"
@@ -28,15 +23,17 @@
 using namespace imc;
 using namespace imc::placement;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
+    const auto service = benchutil::service_from_cli(cli);
     const int iters = cli.get_int("iters", 4000);
     const double qos_perf = cli.get_double("qos", 0.8);
+    // Default 1 keeps the recorded results reproducible.
+    const int chains = cli.get_int("chains", 1);
     const double limit = 1.0 / qos_perf;
 
     std::cout << "Figure 10: QoS guarantee and runtimes normalized to "
@@ -47,7 +44,6 @@ main(int argc, char** argv)
               << ", seed=" << cfg.seed << ", reps=" << cfg.reps
               << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
 
@@ -75,8 +71,7 @@ main(int argc, char** argv)
             opts.iterations = iters;
             opts.seed = hash_combine(cfg.seed,
                                      hash_string(mix.name) + 1);
-            // Default 1 keeps the recorded results reproducible.
-            opts.chains = cli.get_int("chains", 1);
+            opts.chains = chains;
             QosConstraint qos{mix.qos_index, limit};
             const auto found =
                 anneal(initial, *variant.evaluator,
@@ -104,9 +99,15 @@ main(int argc, char** argv)
     table.print(std::cout);
     std::cout << "\n(total is the VM-weighted mean normalized runtime "
                  "of the four workloads)\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"iters", "qos", "chains", "seed", "reps", "threads"},
+                     run);
 }

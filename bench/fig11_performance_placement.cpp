@@ -8,17 +8,11 @@
  * executed on the simulated cluster. Performance of an application is
  * its speedup over the worst placement; the figure reports the
  * VM-weighted average speedup per mix.
- *
- * Usage: fig11_performance_placement [--mixes HW1,HM3] [--seed S]
- *                                    [--reps N] [--iters 4000]
- *                                    [--randoms 5]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/chart.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -45,19 +39,17 @@ weighted_mean(const std::vector<double>& xs,
     return sum / weight;
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     auto cfg = benchutil::config_from_cli(cli);
     if (!cli.has("reps"))
         cfg.reps = 5; // placement spreads are a few percent: average more
+    const auto service = benchutil::service_from_cli(cli);
     const int iters = cli.get_int("iters", 4000);
     const int randoms = cli.get_int("randoms", 5);
+    // Default 1 keeps the recorded results reproducible.
+    const int chains = cli.get_int("chains", 1);
 
     std::vector<Mix> mixes;
     const auto mix_names = cli.get_list("mixes");
@@ -74,7 +66,6 @@ main(int argc, char** argv)
               << ", reps=" << cfg.reps << ", SA iters=" << iters
               << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
 
@@ -98,8 +89,7 @@ main(int argc, char** argv)
             opts.iterations = iters;
             opts.seed = hash_combine(cfg.seed,
                                      hash_string(mix.name + tag));
-            // Default 1 keeps the recorded results reproducible.
-            opts.chains = cli.get_int("chains", 1);
+            opts.chains = chains;
             return anneal(initial, evaluator, goal, std::nullopt,
                           opts)
                 .placement;
@@ -163,9 +153,16 @@ main(int argc, char** argv)
                  "speedups over the Worst placement; paper reports "
                  "up to 2.05x for HM3 and averages of 1.57x / 1.17x "
                  "for the high / medium groups)\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"mixes", "iters", "randoms", "chains", "seed", "reps",
+                      "threads"},
+                     run);
 }

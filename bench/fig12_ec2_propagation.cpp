@@ -5,29 +5,22 @@
  * swept over {0,1,2,4,8,16,24,32} as in the paper, with unmeasured
  * background interference from other tenants' VMs present in every
  * run.
- *
- * Usage: fig12_ec2_propagation [--apps M.milc,M.Gems,M.zeus,M.lu]
- *                              [--pressures 2,5,8] [--seed S]
- *                              [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/chart.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli, /*ec2=*/true);
 
     std::vector<std::string> abbrevs = cli.get_list("apps");
@@ -88,4 +81,14 @@ main(int argc, char** argv)
         std::cout << '\n';
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "pressures", "seed", "reps", "threads"},
+                     run);
 }

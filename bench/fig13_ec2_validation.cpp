@@ -4,15 +4,11 @@
  * profile — each of the four Section 6 applications co-runs with all
  * the others, and the model's prediction error is reported. Paper
  * errors are 3-10%.
- *
- * Usage: fig13_ec2_validation [--apps ...] [--seed S] [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/chart.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -20,13 +16,13 @@
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli, /*ec2=*/true);
+    const auto service = benchutil::service_from_cli(cli);
 
     std::vector<std::string> abbrevs = cli.get_list("apps");
     if (abbrevs.empty())
@@ -40,7 +36,6 @@ main(int argc, char** argv)
               << cfg.cluster.name << ", seed=" << cfg.seed
               << ", reps=" << cfg.reps << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
 
@@ -63,9 +58,13 @@ main(int argc, char** argv)
     std::cout << "\n(paper reports 3-10% average errors on EC2, "
                  "higher than the private cluster because of "
                  "unmeasured background interference)\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv, {"apps", "seed", "reps", "threads"}, run);
 }

@@ -22,13 +22,6 @@
  * bench's own arming with yours (e.g. to add sim.crash chaos), in
  * which case your spec must include a bsp.inject clause for any
  * wave to exist.
- *
- * Usage: fig_delaywave [--nodes N] [--procs-per-node P] [--iters I]
- *                      [--work W] [--sync-cost C] [--periods 1,3]
- *                      [--sigmas 0,0.1,0.2] [--delays 0.3,0.6]
- *                      [--inject-ranks R1,R2] [--seeds K] [--seed S]
- *                      [--threads T] [--max-fit-err E]
- *                      [--decay-band B] [--csv]
  */
 
 #include <algorithm>
@@ -42,9 +35,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
-#include "common/table.hpp"
 #include "sim/wave.hpp"
 #include "workload/delaywave.hpp"
 
@@ -96,14 +87,9 @@ print_wave_chart(std::ostream& os, const sim::Timeline& injected,
     }
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const bool user_armed =
         cli.has("fault-seed") || cli.has("fault-spec");
 
@@ -137,10 +123,10 @@ main(int argc, char** argv)
     auto inject_ranks = cli.get_int_list("inject-ranks");
     if (inject_ranks.empty())
         inject_ranks = {total_ranks / 4, total_ranks / 2};
-    require(seeds >= 1, "fig_delaywave: --seeds must be >= 1");
+    require(seeds >= 1, "--seeds must be >= 1");
     for (const int rank : inject_ranks)
         require(rank >= 0 && rank < total_ranks,
-                "fig_delaywave: --inject-ranks out of range");
+                "--inject-ranks out of range");
 
     std::cout << "Delay-wave propagation vs the Afzal-Hager-Wellein "
                  "model\n(ranks="
@@ -256,10 +242,6 @@ main(int argc, char** argv)
                 }
     }
 
-    Table csv({"period", "sigma", "delay", "inject_rank", "ranks_used",
-               "fit_ranks_per_iter", "fit_ranks_per_sec",
-               "model_ranks_per_sec", "speed_err", "fit_decay_len",
-               "model_decay_len", "verdict"});
     std::cout << "period sigma delay rank |   r/s  model   err% |"
                  "     L  model ratio | verdict\n";
     bool all_pass = true;
@@ -299,15 +281,6 @@ main(int argc, char** argv)
                   << (model_inf ? std::string("-")
                                 : fmt_fixed(ratio, 2))
                   << " | " << verdict << '\n';
-        csv.add_row({std::to_string(row.period), fmt_fixed(row.sigma, 2),
-                     fmt_fixed(row.delay, 2), std::to_string(row.rank),
-                     std::to_string(row.fit.ranks_used),
-                     fmt_fixed(row.fit.ranks_per_iter, 4),
-                     fmt_fixed(row.fit.ranks_per_sec, 4),
-                     fmt_fixed(row.pred.ranks_per_sec, 4),
-                     fmt_fixed(speed_err, 4),
-                     fmt_len(row.fit.decay_length),
-                     fmt_len(row.pred.decay_length), verdict});
     }
 
     std::cout << "\nShowcase wave (period=" << chart_period
@@ -316,13 +289,21 @@ main(int argc, char** argv)
     print_wave_chart(std::cout, chart_injected, chart_baseline,
                      chart_period, chart_delay);
 
-    if (cli.has("csv")) {
-        std::cout << "\n--- CSV ---\n";
-        csv.print_csv(std::cout);
-    }
     std::cout << "\nGATE: " << (all_pass ? "PASS" : "FAIL")
               << " (worst speed err "
               << fmt_fixed(100.0 * worst_err, 1) << "% vs limit "
               << fmt_fixed(100.0 * max_fit_err, 1) << "%)\n";
     return all_pass ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"nodes", "procs-per-node", "work", "sync-cost", "iters",
+                      "periods", "sigmas", "delays", "inject-ranks", "seeds",
+                      "seed", "max-fit-err", "decay-band", "threads"},
+                     run);
 }

@@ -13,17 +13,12 @@
  * cross-checks that full and delta runs return the identical
  * placement and objective, so the speedup is never bought with a
  * different answer.
- *
- * Usage: micro_annealer [--nodes 16] [--iters 20000] [--runs 3]
- *                       [--chains 0] [--seed S]
  */
 
 #include <chrono>
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
@@ -45,11 +40,8 @@ seconds_of(const std::chrono::steady_clock::time_point& t0)
 }
 
 int
-run(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     auto cfg = benchutil::config_from_cli(cli);
     cfg.cluster.num_nodes = cli.get_int("nodes", 16);
     cfg.cluster.name = "private" +
@@ -59,6 +51,7 @@ run(int argc, char** argv)
     const int chains_flag = cli.get_int("chains", 0);
     require(chains_flag >= 0, "--chains must be >= 0");
     const int chains = resolve_threads(chains_flag);
+    const auto service = benchutil::service_from_cli(cli);
 
     // 8 four-unit applications: 32 units on 32 slots (full cluster),
     // mixing BSP, task-pool, and batch workloads.
@@ -75,7 +68,6 @@ run(int argc, char** argv)
               << " runs, seed=" << cfg.seed << ")\n\nProfiling "
               << mix.size() << " models...\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
     const ModelEvaluator evaluator(registry, instances);
@@ -158,10 +150,8 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const Error& e) {
-        std::cerr << "micro_annealer: " << e.what() << '\n';
-        return 2;
-    }
+    return tool_main(argc, argv,
+                     {"nodes", "iters", "runs", "chains", "seed", "reps",
+                      "threads"},
+                     run);
 }

@@ -23,9 +23,6 @@
  * every (app, algorithm) pair — the speedup is never bought with a
  * different answer — and prints the service's executed/cache-hit
  * accounting.
- *
- * Usage: micro_runservice [--apps A,B,...] [--threads 4]
- *                         [--epsilon 0.05] [--seed S] [--reps N]
  */
 
 #include <chrono>
@@ -33,8 +30,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
@@ -73,11 +68,8 @@ identical(const Campaign& a, const Campaign& b)
 }
 
 int
-run(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
     const double epsilon = cli.get_double("epsilon", 0.05);
     const auto apps = benchutil::apps_from_cli(cli);
@@ -153,10 +145,6 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const Error& e) {
-        std::cerr << "micro_runservice: " << e.what() << '\n';
-        return 2;
-    }
+    return tool_main(argc, argv,
+                     {"apps", "epsilon", "seed", "reps", "threads"}, run);
 }

@@ -14,28 +14,20 @@
  * neighbours). All randomness is per-tenant, so the generated event
  * load is a pure function of the scale, never of engine internals.
  *
- * Usage: micro_scale [--scales 8,100,1000,10000] [--tenants 10]
- *                    [--segments 10] [--runs 1] [--min-eps N]
- *                    [--seed S]
- *
- * --min-eps makes the bench exit nonzero when events/sec at the
+ * --min-eps N makes the bench exit nonzero when events/sec at the
  * LARGEST swept scale drops below N — the CI
  * short-sweep smoke (`--scales 8,100 --min-eps ...`) uses it as a
  * regression floor.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -174,42 +166,22 @@ run_best(int nodes, int tenants_per_node, int segments,
     return best;
 }
 
-std::vector<int>
-parse_scales(const Cli& cli)
+int
+run(const Cli& cli)
 {
-    std::vector<int> scales;
-    for (const auto& part : cli.get_list("scales")) {
-        errno = 0;
-        char* end = nullptr;
-        // imc-lint: allow(banned-number-parse): strict strtol use —
-        // endptr + errno checked, trailing garbage rejected.
-        const long n = std::strtol(part.c_str(), &end, 10);
-        require(end != part.c_str() && *end == '\0' &&
-                    errno != ERANGE && n > 0 && n <= 1'000'000,
-                "micro_scale: --scales entries must be integers in "
-                "[1, 1000000], got '" +
-                    part + "'");
-        scales.push_back(static_cast<int>(n));
-    }
+    auto scales = cli.get_int_list("scales");
     if (scales.empty())
         scales = {8, 100, 1000, 10000};
-    return scales;
-}
-
-int
-run(int argc, char** argv)
-{
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
-    const auto scales = parse_scales(cli);
+    for (const int n : scales)
+        require(n > 0 && n <= 1'000'000,
+                "--scales entries must be in [1, 1000000], got " +
+                    std::to_string(n));
     const int tenants_per_node = cli.get_int("tenants", 10);
     const int segments = cli.get_int("segments", 10);
     const int runs = cli.get_int("runs", 1);
-    require(runs >= 1, "micro_scale: --runs must be >= 1");
+    require(runs >= 1, "--runs must be >= 1");
     const double min_eps = cli.get_double("min-eps", 0.0);
-    const auto seed =
-        static_cast<std::uint64_t>(cli.get_int("seed", 20260807));
+    const std::uint64_t seed = cli.get_u64("seed", 20260807);
 
     std::cout << "Sim-engine scale bench: " << tenants_per_node
               << " single-proc tenants/node, " << segments
@@ -250,10 +222,8 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const Error& e) {
-        std::cerr << "micro_scale: " << e.what() << '\n';
-        return 2;
-    }
+    return tool_main(argc, argv,
+                     {"scales", "tenants", "segments", "runs", "min-eps",
+                      "seed"},
+                     run);
 }

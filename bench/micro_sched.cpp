@@ -24,20 +24,13 @@
  * decisions themselves are byte-identical for a fixed seed (the
  * determinism suite pins that). The quality gap is deterministic.
  *
- * Usage: micro_sched [--scales 100,1000,5000] [--arrivals 10000]
- *                    [--occupancy 0.8] [--polish 128]
- *                    [--candidates 16] [--seed 1]
- *                    [--max-p99 N] [--max-gap PCT]
- *
  * --max-p99 (ms) and --max-gap (percent) make the bench exit nonzero
  * when the LARGEST swept scale misses either floor — the CI smoke
  * uses small scales with both floors armed.
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -45,8 +38,6 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -60,27 +51,14 @@ using namespace imc;
 
 namespace {
 
-std::vector<int>
-parse_scales(const Cli& cli)
-{
-    std::vector<int> scales;
-    for (const auto& part : cli.get_list("scales")) {
-        errno = 0;
-        char* end = nullptr;
-        // imc-lint: allow(banned-number-parse): strict strtol use —
-        // endptr + errno checked, trailing garbage rejected.
-        const long n = std::strtol(part.c_str(), &end, 10);
-        require(end != part.c_str() && *end == '\0' &&
-                    errno != ERANGE && n > 0 && n <= 100'000,
-                "micro_sched: --scales entries must be integers in "
-                "[1, 100000], got '" +
-                    part + "'");
-        scales.push_back(static_cast<int>(n));
-    }
-    if (scales.empty())
-        scales = {100, 1000, 5000};
-    return scales;
-}
+/** The per-scale replay settings, read once from the flags. */
+struct ScaleOptions {
+    int arrivals = 0;
+    double occupancy = 0.0;
+    int candidates = 0;
+    int polish = 0;
+    std::uint64_t seed = 0;
+};
 
 struct ScaleResult {
     sched::ReplayResult replay;
@@ -91,37 +69,34 @@ struct ScaleResult {
 };
 
 ScaleResult
-run_scale(int nodes, const Cli& cli, core::ModelRegistry& registry)
+run_scale(int nodes, const ScaleOptions& opts,
+          core::ModelRegistry& registry)
 {
-    const int arrivals = cli.get_int("arrivals", 10000);
-    const double occupancy = cli.get_double("occupancy", 0.8);
-    const auto seed = cli.get_u64("seed", 1);
-
     sched::TraceGenOptions gopts;
     gopts.num_nodes = nodes;
     gopts.slots_per_node = 2;
     gopts.duration = 1000.0;
-    gopts.arrival_rate = arrivals / gopts.duration;
+    gopts.arrival_rate = opts.arrivals / gopts.duration;
     // Steady-state live apps ~ rate x lifetime; mean units of
     // uniform{1..4} is 2.5, so target occupancy fixes the lifetime.
     const double target_apps =
-        occupancy * nodes * gopts.slots_per_node / 2.5;
+        opts.occupancy * nodes * gopts.slots_per_node / 2.5;
     gopts.mean_lifetime = target_apps / gopts.arrival_rate;
     gopts.max_units = 4;
     gopts.slo_fraction = 0.3;
     gopts.crash_rate = 0.02; // ~20 crash/repair cycles per trace
     gopts.mean_repair = 100.0;
-    gopts.seed = seed;
+    gopts.seed = opts.seed;
     const sched::Trace trace = sched::generate_trace(gopts);
 
     sched::ReplayOptions ropts;
-    ropts.sched.candidate_nodes = cli.get_int("candidates", 16);
-    ropts.sched.polish_proposals = cli.get_int("polish", 128);
-    ropts.sched.seed = seed;
+    ropts.sched.candidate_nodes = opts.candidates;
+    ropts.sched.polish_proposals = opts.polish;
+    ropts.sched.seed = opts.seed;
     ropts.oracle_every = 0; // final comparison only
     ropts.oracle_iterations = std::max(
         4000, 20 * static_cast<int>(target_apps));
-    ropts.oracle_seed = seed + 1;
+    ropts.oracle_seed = opts.seed + 1;
 
     placement::ModelEvaluator evaluator(registry, {});
     ScaleResult r;
@@ -137,24 +112,23 @@ run_scale(int nodes, const Cli& cli, core::ModelRegistry& registry)
 }
 
 int
-run(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
-    const auto scales = parse_scales(cli);
+    auto scales = cli.get_int_list("scales");
+    if (scales.empty())
+        scales = {100, 1000, 5000};
+    for (const int n : scales)
+        require(n > 0 && n <= 100'000,
+                "--scales entries must be in [1, 100000], got " +
+                    std::to_string(n));
     const double max_p99 = cli.get_double("max-p99", 0.0);
     const double max_gap = cli.get_double("max-gap", 0.0);
-
-    std::cout << "Event-driven scheduler bench: "
-              << cli.get_int("arrivals", 10000)
-              << " Poisson arrivals over 1000s, occupancy target "
-              << fmt_fixed(cli.get_double("occupancy", 0.8), 2)
-              << ", crash/repair process on, polish "
-              << cli.get_int("polish", 128) << " proposals (seed="
-              << cli.get_u64("seed", 1) << ")\n"
-              << "oracle: one batch anneal over the surviving apps "
-                 "after the last event\n\n";
+    ScaleOptions opts;
+    opts.arrivals = cli.get_int("arrivals", 10000);
+    opts.occupancy = cli.get_double("occupancy", 0.8);
+    opts.candidates = cli.get_int("candidates", 16);
+    opts.polish = cli.get_int("polish", 128);
+    opts.seed = cli.get_u64("seed", 1);
 
     // One registry across scales: the same 6 archetypes at unit
     // counts 1-4 back every trace.
@@ -164,6 +138,15 @@ run(int argc, char** argv)
     workload::RunService service(cli.get_int("threads", 0));
     core::ModelBuildOptions bopts;
     bopts.model_cache_dir = cli.get("model-cache", "");
+
+    std::cout << "Event-driven scheduler bench: " << opts.arrivals
+              << " Poisson arrivals over 1000s, occupancy target "
+              << fmt_fixed(opts.occupancy, 2)
+              << ", crash/repair process on, polish " << opts.polish
+              << " proposals (seed=" << opts.seed << ")\n"
+              << "oracle: one batch anneal over the surviving apps "
+                 "after the last event\n\n";
+
     core::ModelRegistry registry(cfg, bopts, &service);
     for (int units = 1; units <= 4; ++units)
         registry.prefetch(sched::default_trace_apps(), units);
@@ -174,7 +157,7 @@ run(int argc, char** argv)
     double last_p99 = 0.0;
     double last_gap = 0.0;
     for (const int nodes : scales) {
-        const ScaleResult r = run_scale(nodes, cli, registry);
+        const ScaleResult r = run_scale(nodes, opts, registry);
         last_p99 = r.p99;
         last_gap = r.gap_pct;
         const auto& o = r.replay.oracle;
@@ -218,10 +201,9 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const Error& e) {
-        std::cerr << "micro_sched: " << e.what() << '\n';
-        return 2;
-    }
+    return tool_main(argc, argv,
+                     {"scales", "arrivals", "occupancy", "candidates",
+                      "polish", "seed", "profile-seed", "threads",
+                      "model-cache", "max-p99", "max-gap"},
+                     run);
 }

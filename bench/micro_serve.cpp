@@ -27,10 +27,6 @@
  * Output is a pure function of the flags: byte-identical at any
  * --threads setting.
  *
- * Usage: micro_serve [--seed 42] [--reps 3] [--iters 4000]
- *                    [--slo 1.30] [--threads 1]
- *                    [--apps A,B,...] [--max-p99 0] [--csv]
- *
  * --max-p99 X makes the bench exit nonzero when the qos placement's
  * worst service-instance normalized p99 exceeds X (0 disables) — the
  * CI smoke arms it to pin the QoS win end to end.
@@ -44,8 +40,6 @@
 
 #include "bench_util.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "placement/annealer.hpp"
@@ -69,7 +63,7 @@ serving_mix(const Cli& cli, const sim::ClusterSpec& cluster)
                 cluster.num_nodes * cluster.slots_per_node %
                         static_cast<int>(names.size()) ==
                     0,
-            "micro_serve: --apps must divide the cluster slots");
+            "--apps must divide the cluster slots");
     const int units = cluster.num_nodes * cluster.slots_per_node /
                       static_cast<int>(names.size());
     std::vector<Instance> instances;
@@ -114,16 +108,18 @@ measure(const std::string& name, const Placement& placement,
 }
 
 int
-run(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
     const int iters = cli.get_int("iters", 4000);
     const double slo_target = cli.get_double("slo", 1.30);
     const double max_p99 = cli.get_double("max-p99", 0.0);
-    require(slo_target > 0.0, "micro_serve: --slo must be > 0");
+    require(slo_target > 0.0, "--slo must be > 0");
+    // Default 2 rides out local optima (the violation-first selection
+    // needs one chain to land in the feasible basin) while keeping
+    // the recorded results reproducible at any thread count.
+    const int chains = cli.get_int("chains", 2);
+    const auto service = benchutil::service_from_cli(cli);
 
     const auto instances = serving_mix(cli, cfg.cluster);
     std::vector<double> slo(instances.size(), 0.0);
@@ -139,7 +135,6 @@ run(int argc, char** argv)
               << ", reps=" << cfg.reps << ", iters=" << iters
               << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  service.get());
     const ModelEvaluator evaluator(registry, instances);
@@ -150,10 +145,7 @@ run(int argc, char** argv)
     AnnealOptions perf_opts;
     perf_opts.iterations = iters;
     perf_opts.seed = hash_combine(cfg.seed, hash_string("anneal"));
-    // Default 2 rides out local optima (the violation-first selection
-    // needs one chain to land in the feasible basin) while keeping
-    // the recorded results reproducible at any thread count.
-    perf_opts.chains = cli.get_int("chains", 2);
+    perf_opts.chains = chains;
     const auto perf = anneal(initial, evaluator,
                              Goal::MinimizeTotalTime, std::nullopt,
                              perf_opts);
@@ -195,10 +187,6 @@ run(int argc, char** argv)
     std::cout << "\n(service columns are normalized p99 request "
                  "latency — measured p99 over the solo-run p99; "
                  "violations counts instances beyond their target)\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
 
     const auto& best = outcomes.back();
     if (max_p99 > 0.0 && best.worst_service_p99 > max_p99) {
@@ -216,10 +204,8 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const std::exception& e) {
-        std::cerr << "micro_serve: " << e.what() << "\n";
-        return 2;
-    }
+    return tool_main(argc, argv,
+                     {"apps", "iters", "slo", "chains", "max-p99", "seed",
+                      "reps", "threads"},
+                     run);
 }

@@ -3,17 +3,12 @@
  * Reproduces Table 2: the best heterogeneity mapping policy per
  * distributed application with its average error and standard
  * deviation, next to the paper's reported values.
- *
- * Usage: table2_best_policy [--apps A,B] [--samples 60] [--seed S]
- *                           [--reps N]
  */
 
 #include <iostream>
 #include <map>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/measure.hpp"
@@ -46,14 +41,9 @@ paper_table2()
     return table;
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
     const int samples = cli.get_int("samples", 60);
     const auto apps = benchutil::apps_from_cli(cli);
@@ -99,9 +89,15 @@ main(int argc, char** argv)
                        paper_err});
     }
     table.print(std::cout);
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "samples", "seed", "reps", "threads"},
+                     run);
 }

@@ -4,29 +4,23 @@
  * of the four matrix-construction algorithms (binary-optimized,
  * binary-brute, random-50%, random-30%) across the distributed
  * applications, next to the paper's reported averages.
- *
- * Usage: table3_profiling [--apps A,B] [--epsilon 0.05] [--seed S]
- *                         [--reps N]
  */
 
 #include <iostream>
 #include <map>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
     const double epsilon = cli.get_double("epsilon", 0.05);
     const auto apps = benchutil::apps_from_cli(cli);
@@ -71,9 +65,15 @@ main(int argc, char** argv)
                        fmt_fixed(paper.at(algorithm).second, 2)});
     }
     table.print(std::cout);
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "epsilon", "seed", "reps", "threads"},
+                     run);
 }

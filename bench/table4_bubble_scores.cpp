@@ -2,15 +2,11 @@
  * @file
  * Reproduces Table 4: measured bubble scores of all 18 benchmark
  * applications, next to the paper's reported values.
- *
- * Usage: table4_bubble_scores [--seed S] [--reps N]
  */
 
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -18,13 +14,13 @@
 
 using namespace imc;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli);
+    const auto service = benchutil::service_from_cli(cli);
     const auto nodes = workload::all_nodes(cfg.cluster);
 
     std::cout << "Table 4: bubble scores for the benchmark "
@@ -32,7 +28,6 @@ main(int argc, char** argv)
               << cfg.cluster.name << ", seed=" << cfg.seed
               << ", reps=" << cfg.reps << ")\n\n";
 
-    const auto service = benchutil::service_from_cli(cli);
     const core::BubbleScorer scorer(cfg, *service);
     std::cout << "Reporter calibration (probe degradation at bubble "
                  "pressure 0..8):\n  ";
@@ -57,9 +52,13 @@ main(int argc, char** argv)
     table.print(std::cout);
     std::cout << "\nMean |measured - paper| = "
               << fmt_fixed(diffs.mean(), 2) << " pressure units\n";
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv, {"seed", "reps", "threads"}, run);
 }

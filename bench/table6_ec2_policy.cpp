@@ -5,17 +5,12 @@
  * application, as in Section 6), next to the paper's values. Errors
  * are expected to be higher than on the private cluster because other
  * users' VMs inject unmeasured background interference.
- *
- * Usage: table6_ec2_policy [--apps ...] [--samples 100] [--seed S]
- *                          [--reps N]
  */
 
 #include <iostream>
 #include <map>
 
 #include "bench_util.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/measure.hpp"
@@ -24,12 +19,11 @@
 using namespace imc;
 using namespace imc::core;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     const auto cfg = benchutil::config_from_cli(cli, /*ec2=*/true);
     const int samples = cli.get_int("samples", 100);
 
@@ -85,9 +79,15 @@ main(int argc, char** argv)
                        paper_err});
     }
     table.print(std::cout);
-    if (cli.has("csv")) {
-        std::cout << "--- CSV ---\n";
-        table.print_csv(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"apps", "samples", "seed", "reps", "threads"},
+                     run);
 }

@@ -9,19 +9,12 @@
  * searches for the best interference-aware placement and reports the
  * VM-weighted total normalized runtime, so an operator can decide
  * what to consolidate *before* touching production.
- *
- * Usage: capacity_planner [--app N.mg]
- *                         [--candidates C.gcc,C.mcf,C.libq,H.KM,S.PR]
- *                         [--seed S]
- *                         [--chains N]   (0 = one per hardware thread)
  */
 
 #include <algorithm>
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "placement/annealer.hpp"
@@ -32,12 +25,11 @@
 using namespace imc;
 using namespace imc::placement;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     workload::RunConfig cfg;
     cfg.seed = cli.get_u64("seed", 5);
     cfg.reps = cli.get_int("reps", 2);
@@ -46,12 +38,14 @@ main(int argc, char** argv)
     auto candidates = cli.get_list("candidates");
     if (candidates.empty())
         candidates = {"C.gcc", "C.mcf", "C.libq", "H.KM", "S.PR"};
+    const int iters = cli.get_int("iters", 2500);
+    const int chains = cli.get_int("chains", 0);
+    workload::RunService service(cli.get_int("threads", 0));
 
     std::cout << "Must-run application: " << app.abbrev
               << "; choosing 3 co-tenants out of "
               << candidates.size() << " candidates\n\n";
 
-    workload::RunService service(cli.get_int("threads", 0));
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  &service);
 
@@ -78,9 +72,9 @@ main(int argc, char** argv)
                 auto initial =
                     Placement::random(instances, cfg.cluster, rng);
                 AnnealOptions opts;
-                opts.iterations = cli.get_int("iters", 2500);
+                opts.iterations = iters;
                 opts.seed = rng.next_u64();
-                opts.chains = cli.get_int("chains", 0);
+                opts.chains = chains;
                 const auto found =
                     anneal(initial, evaluator,
                            Goal::MinimizeTotalTime, std::nullopt,
@@ -134,9 +128,9 @@ main(int argc, char** argv)
         Rng rng(cfg.seed + 999);
         auto initial = Placement::random(instances, cfg.cluster, rng);
         AnnealOptions opts;
-        opts.iterations = cli.get_int("iters", 2500);
+        opts.iterations = iters;
         opts.seed = 4242;
-        opts.chains = cli.get_int("chains", 0);
+        opts.chains = chains;
         const auto found = anneal(initial, evaluator,
                                   Goal::MinimizeTotalTime,
                                   std::nullopt, opts);
@@ -151,4 +145,15 @@ main(int argc, char** argv)
         std::cout << '\n';
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"app", "candidates", "iters", "chains", "seed", "reps",
+                      "threads"},
+                     run);
 }

@@ -5,15 +5,12 @@
  * then predict and place from the saved profiles without touching the
  * cluster again.
  *
- * Subcommands (first positional argument):
+ * Subcommands (the first argument; "trace gen" is two words). Each
+ * declares the flags it reads in main's command table; any other
+ * argument is an error that prints the command's usage line.
  *
- *   profile --app M.milc --out milc.model [--nodes 8]
+ *   profile --app M.milc --out milc.model
  *       Build the app's interference model and save it.
- *
- * Global options: --threads N sizes the measurement service's worker
- * pool (default 0 = hardware concurrency; results are bit-identical
- * at any setting); --model-cache DIR reuses models profiled by
- * earlier invocations with the same configuration.
  *
  *   show --model milc.model
  *       Print a saved model: policy, score, sensitivity matrix.
@@ -26,26 +23,19 @@
  *       Profile (or reuse cached) models for a four-workload mix and
  *       run the interference-aware placement search.
  *
- *   campaign [--passes 3] [--epsilon 0.05] [--apps A,B,...]
+ *   campaign
  *       Replay the fig06+fig07+table3 profiling session (each pass
  *       profiles every app with exhaustive + 4 cheaper algorithms)
  *       through one shared RunService and report its
  *       submitted/executed/cache-hit accounting.
  *
- *   trace gen --out trace.txt [--nodes 100] [--slots 2]
- *             [--duration 1000] [--rate 1] [--lifetime 200]
- *             [--sigma 0.8] [--max-units 4] [--slo-frac 0.3]
- *             [--crash-rate 0] [--repair 100] [--seed 1]
- *             [--service-frac 0] [--apps A,B,...]
+ *   trace gen --out trace.txt
  *       Generate a seeded synthetic scheduler event trace (Poisson
  *       arrivals, lognormal lifetimes, mixed archetypes, optional
  *       crash/repair process) in the imc-trace v1 text format. Pure
  *       function of its flags.
  *
- *   serve --trace trace.txt [--candidates 16] [--polish 128]
- *         [--slo-penalty 100] [--seed 1] [--no-evict]
- *         [--oracle-every 0] [--oracle-iters 2000]
- *         [--oracle-chains 1] [--execute] [--timing]
+ *   serve --trace trace.txt
  *       The event-driven scheduler ("imcd"): replay the trace through
  *       sched::SchedulerCore, maintaining a near-optimal placement
  *       incrementally (admission control, greedy insertion, bounded
@@ -56,7 +46,11 @@
  *       non-deterministic section). --execute additionally runs the
  *       admitted apps on the sim engine (attach/detach).
  *
- * Observability (all subcommands): --metrics prints an imc::obs
+ * --threads N sizes the measurement service's worker pool (default
+ * 0 = hardware concurrency; results are bit-identical at any
+ * setting); --model-cache DIR reuses models profiled by earlier
+ * invocations with the same configuration. Every subcommand takes
+ * the observability flags: --metrics prints an imc::obs
  * counter/gauge/histogram dump to stdout at exit; --metrics-out FILE
  * writes it to FILE (JSON when FILE ends in ".json"); --trace-out
  * FILE writes a Chrome-trace JSON timeline loadable in
@@ -72,8 +66,6 @@
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -117,10 +109,10 @@ cmd_profile(const Cli& cli)
     const int nodes = cli.get_int("nodes", cfg.cluster.num_nodes);
     const std::string out =
         cli.get("out", app.abbrev + ".model");
+    auto service = service_from(cli);
 
     std::cout << "Profiling " << app.abbrev << " at " << nodes
               << "-node deployment...\n";
-    auto service = service_from(cli);
     core::ModelRegistry registry(cfg, build_options_from(cli),
                                  &service);
     const auto& built = registry.model(app, nodes);
@@ -169,10 +161,7 @@ cmd_predict(const Cli& cli)
     const auto model =
         core::load_model_file(cli.get("model", "model.txt"));
     const auto pressures = cli.get_double_list("pressures");
-    if (pressures.empty()) {
-        std::cerr << "predict: --pressures p1,p2,... required\n";
-        return 2;
-    }
+    require(!pressures.empty(), "--pressures p1,p2,... required");
     std::cout << "policy " << core::to_string(model.policy())
               << " converts [";
     for (std::size_t i = 0; i < pressures.size(); ++i)
@@ -334,10 +323,7 @@ int
 cmd_serve(const Cli& cli)
 {
     const std::string path = cli.get("trace", "");
-    if (path.empty()) {
-        std::cerr << "serve: --trace FILE required\n";
-        return 2;
-    }
+    require(!path.empty(), "--trace FILE required");
     const sched::Trace trace = sched::load_trace_file(path);
 
     sched::ReplayOptions ropts;
@@ -419,46 +405,61 @@ cmd_serve(const Cli& cli)
     return 0;
 }
 
+/** One subcommand: its name, the flags it reads and its body. */
+struct Command {
+    std::string name;
+    std::vector<std::string> flags;
+    int (*run)(const Cli&);
+};
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    if (argc < 2) {
-        std::cerr << "usage: imctl "
-                     "<profile|show|predict|place|campaign|trace|serve>"
-                     " [options]\n";
-        return 2;
+    const std::vector<Command> commands{
+        {"profile",
+         {"app", "nodes", "out", "seed", "reps", "threads", "model-cache"},
+         cmd_profile},
+        {"show", {"model"}, cmd_show},
+        {"predict", {"model", "pressures"}, cmd_predict},
+        {"place",
+         {"apps", "iters", "chains", "qos", "target", "seed", "reps",
+          "threads", "model-cache"},
+         cmd_place},
+        {"campaign",
+         {"apps", "passes", "epsilon", "ec2", "seed", "reps", "threads"},
+         cmd_campaign},
+        {"trace gen",
+         {"out", "nodes", "slots", "duration", "rate", "lifetime",
+          "sigma", "max-units", "slo-frac", "crash-rate", "repair",
+          "service-frac", "apps", "seed"},
+         cmd_trace_gen},
+        {"serve",
+         {"trace", "candidates", "polish", "slo-penalty", "seed",
+          "no-evict", "oracle-every", "oracle-iters", "oracle-chains",
+          "execute", "timing", "profile-seed", "reps", "threads",
+          "model-cache"},
+         cmd_serve},
+    };
+
+    std::string name = argc > 1 ? argv[1] : "";
+    int first_flag = 2;
+    if (name == "trace" && argc > 2 && std::string(argv[2]) == "gen") {
+        name += " gen";
+        first_flag = 3;
     }
-    const std::string command = argv[1];
-    const bool trace_cmd = command == "trace";
-    if (trace_cmd && (argc < 3 || std::string(argv[2]) != "gen")) {
-        std::cerr << "usage: imctl trace gen [options]\n";
-        return 2;
+    for (const auto& command : commands) {
+        if (command.name != name)
+            continue;
+        // Errors and the usage line name the command.
+        const std::string tool = "imctl " + name;
+        std::vector<const char*> args{tool.c_str()};
+        args.insert(args.end(), argv + first_flag, argv + argc);
+        return tool_main(static_cast<int>(args.size()), args.data(),
+                         command.flags, command.run);
     }
-    const int skip = trace_cmd ? 2 : 1;
-    const Cli cli(argc - skip, argv + skip);
-    try {
-        const obs::Session obs_session(cli);
-        const fault::Session fault_session(cli);
-        if (trace_cmd)
-            return cmd_trace_gen(cli);
-        if (command == "profile")
-            return cmd_profile(cli);
-        if (command == "show")
-            return cmd_show(cli);
-        if (command == "predict")
-            return cmd_predict(cli);
-        if (command == "place")
-            return cmd_place(cli);
-        if (command == "campaign")
-            return cmd_campaign(cli);
-        if (command == "serve")
-            return cmd_serve(cli);
-        std::cerr << "imctl: unknown command '" << command << "'\n";
-        return 2;
-    } catch (const Error& e) {
-        std::cerr << "imctl: " << e.what() << '\n';
-        return 1;
-    }
+    std::cerr << "usage: imctl <profile|show|predict|place|campaign|"
+                 "trace gen|serve> [flags]\n";
+    return 2;
 }

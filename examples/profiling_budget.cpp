@@ -8,15 +8,11 @@
  * trade-off), and then shows how the cheaper matrices change an
  * actual placement-relevant prediction — so an operator can decide
  * how much profiling their cluster time is worth.
- *
- * Usage: profiling_budget [--app M.lesl] [--seed S] [--epsilon 0.05]
  */
 
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/registry.hpp"
@@ -26,12 +22,11 @@
 using namespace imc;
 using namespace imc::core;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     workload::RunConfig cfg;
     cfg.seed = cli.get_u64("seed", 3);
     cfg.reps = cli.get_int("reps", 2);
@@ -88,4 +83,14 @@ main(int argc, char** argv)
                  "prediction column shows a placement-relevant lookup "
                  "so the accuracy loss is tangible.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"app", "epsilon", "seed", "reps", "threads"},
+                     run);
 }

@@ -8,18 +8,11 @@
  * QoS-constrained annealing search, and verification of the chosen
  * placement on the (simulated) cluster — including what a random
  * placement would have done to the critical application.
- *
- * Usage: qos_consolidation [--critical N.cg]
- *                          [--others C.mcf,S.WC,M.zeus]
- *                          [--qos 0.8] [--seed S]
- *                          [--chains N]   (0 = one per hardware thread)
  */
 
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/strings.hpp"
 #include "placement/annealer.hpp"
 #include "placement/evaluator.hpp"
@@ -29,12 +22,11 @@
 using namespace imc;
 using namespace imc::placement;
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(const Cli& cli)
 {
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
     workload::RunConfig cfg;
     cfg.seed = cli.get_u64("seed", 11);
     cfg.reps = cli.get_int("reps", 3);
@@ -50,6 +42,11 @@ main(int argc, char** argv)
         Instance{workload::find_app(critical), 4}};
     for (const auto& abbrev : others)
         instances.push_back(Instance{workload::find_app(abbrev), 4});
+    workload::RunService service(cli.get_int("threads", 0));
+    AnnealOptions opts;
+    opts.iterations = cli.get_int("iters", 4000);
+    opts.seed = cfg.seed + 1;
+    opts.chains = cli.get_int("chains", 0); // all hardware threads
 
     std::cout << "Mission-critical: " << critical
               << " (must keep >= " << fmt_pct(qos_perf, 0)
@@ -59,7 +56,6 @@ main(int argc, char** argv)
         std::cout << abbrev << ' ';
     std::cout << "\n\nProfiling models...\n";
 
-    workload::RunService service(cli.get_int("threads", 0));
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  &service);
     const ModelEvaluator evaluator(registry, instances);
@@ -71,10 +67,6 @@ main(int argc, char** argv)
         Placement::random(instances, cfg.cluster, rng);
 
     // The QoS-aware search.
-    AnnealOptions opts;
-    opts.iterations = cli.get_int("iters", 4000);
-    opts.seed = cfg.seed + 1;
-    opts.chains = cli.get_int("chains", 0); // all hardware threads
     QosConstraint qos{0, limit};
     const auto found = anneal(random_placement, evaluator,
                               Goal::MinimizeTotalTime, qos, opts);
@@ -110,4 +102,15 @@ main(int argc, char** argv)
               << (chosen_ok ? "holds" : "VIOLATED") << " ("
               << fmt_fixed(chosen_actual[0], 3) << ")\n";
     return chosen_ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"critical", "others", "qos", "iters", "chains", "seed",
+                      "reps", "threads"},
+                     run);
 }

@@ -10,15 +10,11 @@
  *      heterogeneity policy, bubble score),
  *   3. predict a co-location, and
  *   4. check the prediction against the simulated cluster.
- *
- * Usage: quickstart [--app M.milc] [--corunner C.mcf] [--seed S]
  */
 
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "core/registry.hpp"
@@ -28,13 +24,11 @@
 
 using namespace imc;
 
-int
-main(int argc, char** argv)
-{
-    const Cli cli(argc, argv);
-    const obs::Session obs_session(cli);
-    const fault::Session fault_session(cli);
+namespace {
 
+int
+run(const Cli& cli)
+{
     // 1. The cluster profile and the applications involved.
     workload::RunConfig cfg;
     cfg.seed = cli.get_u64("seed", 7);
@@ -42,6 +36,7 @@ main(int argc, char** argv)
     const auto& app = workload::find_app(cli.get("app", "M.milc"));
     const auto& corunner =
         workload::find_app(cli.get("corunner", "C.mcf"));
+    workload::RunService service(cli.get_int("threads", 0));
 
     std::cout << "Cluster: " << cfg.cluster.name << " ("
               << cfg.cluster.num_nodes << " nodes)\n"
@@ -53,7 +48,6 @@ main(int argc, char** argv)
     //    algorithm, selects the heterogeneity policy from random
     //    samples, and measures bubble scores — all through ordinary
     //    cluster runs, never by peeking inside the workloads.
-    workload::RunService service(cli.get_int("threads", 0));
     core::ModelRegistry registry(cfg, core::ModelBuildOptions{},
                                  &service);
     const auto& model = registry.model(app).model;
@@ -106,4 +100,14 @@ main(int argc, char** argv)
               << fmt_fixed(abs_pct_error(predicted, actual), 1)
               << "%)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return tool_main(argc, argv,
+                     {"app", "corunner", "seed", "reps", "threads"},
+                     run);
 }

@@ -1,10 +1,14 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/fault.hpp"
+#include "common/obs.hpp"
 
 namespace imc {
 
@@ -56,14 +60,30 @@ parse_double(const std::string& flag, const std::string& v)
     return parsed;
 }
 
+/** argv[0]'s file name: the name a tool reports errors under. */
+std::string
+tool_name(int argc, const char* const* argv)
+{
+    const std::string path = argc > 0 ? argv[0] : "";
+    // npos + 1 wraps to 0: a bare name is kept whole.
+    return path.substr(path.rfind('/') + 1);
+}
+
 } // namespace
 
-Cli::Cli(int argc, const char* const* argv)
+Cli::Cli(int argc, const char* const* argv,
+         const std::vector<std::string>& flags)
 {
+    // Every argument error ends in the usage line.
+    std::string usage = "\nusage: " + tool_name(argc, argv);
+    for (const auto& flag : flags) {
+        options_.push_back({flag, false, ""});
+        usage += " [--" + flag + "]";
+    }
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
+        const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
-            continue;
+            throw ConfigError("unexpected argument '" + arg + "'" + usage);
         std::string key = arg.substr(2);
         std::string value;
         // "--flag=value" binds inline; "--flag value" consumes the
@@ -75,28 +95,39 @@ Cli::Cli(int argc, const char* const* argv)
                    std::string(argv[i + 1]).rfind("--", 0) != 0) {
             value = argv[++i];
         }
-        options_.emplace_back(std::move(key), std::move(value));
+        const auto it = std::find_if(
+            options_.begin(), options_.end(),
+            [&](const Option& o) { return o.name == key; });
+        if (it == options_.end())
+            throw ConfigError("unknown flag '--" + key + "'" + usage);
+        if (it->present)
+            throw ConfigError("repeated flag '--" + key + "'" + usage);
+        it->present = true;
+        it->value = std::move(value);
     }
+}
+
+const Cli::Option&
+Cli::option(const std::string& flag) const
+{
+    for (const auto& o : options_) {
+        if (o.name == flag)
+            return o;
+    }
+    throw LogicBug("flag '--" + flag + "' is read but not declared");
 }
 
 bool
 Cli::has(const std::string& flag) const
 {
-    for (const auto& [k, v] : options_) {
-        if (k == flag)
-            return true;
-    }
-    return false;
+    return option(flag).present;
 }
 
 std::string
 Cli::get(const std::string& flag, const std::string& def) const
 {
-    for (const auto& [k, v] : options_) {
-        if (k == flag)
-            return v;
-    }
-    return def;
+    const Option& o = option(flag);
+    return o.present ? o.value : def;
 }
 
 int
@@ -170,6 +201,28 @@ Cli::get_double_list(const std::string& flag) const
     for (const auto& item : get_list(flag))
         out.push_back(parse_double(flag, item));
     return out;
+}
+
+int
+tool_main(int argc, const char* const* argv,
+          std::vector<std::string> flags,
+          const std::function<int(const Cli&)>& body)
+{
+    const std::string tool = tool_name(argc, argv);
+    flags.insert(flags.end(), {"metrics", "metrics-out", "trace-out",
+                               "fault-seed", "fault-spec"});
+    try {
+        const Cli cli(argc, argv, flags);
+        const obs::Session obs_session(cli);
+        const fault::Session fault_session(cli);
+        return body(cli);
+    } catch (const ConfigError& e) {
+        std::cerr << tool << ": " << e.what() << '\n';
+        return 2;
+    } catch (const Error& e) {
+        std::cerr << tool << ": " << e.what() << '\n';
+        return 1;
+    }
 }
 
 } // namespace imc

@@ -3,15 +3,18 @@
 
 /**
  * @file
- * Minimal command-line option parsing shared by the benchmark
- * harnesses and examples. Supports "--flag value", "--flag=value",
- * and bare "--flag" switches; everything is optional with a default.
- * Numeric accessors parse strictly: a malformed value ("--reps abc",
- * "--alpha 0.3x") raises ConfigError instead of being silently
- * mangled by atoi/atof semantics.
+ * Command-line parsing and the entry point shared by every bench and
+ * example main. A tool declares the flags it reads; each may appear
+ * once, as "--flag value", "--flag=value" or a bare "--flag" switch,
+ * and is optional with a default. An unknown, positional or repeated
+ * argument is a ConfigError, and reading a flag the tool did not
+ * declare is a LogicBug. Numeric accessors parse strictly: a
+ * malformed value ("--reps abc", "--alpha 0.3x") raises ConfigError
+ * instead of being silently mangled by atoi/atof semantics.
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,8 +23,13 @@ namespace imc {
 /** Parsed command line. */
 class Cli {
   public:
-    /** Parse argv; unknown flags are kept and queryable. */
-    Cli(int argc, const char* const* argv);
+    /**
+     * Parse argv against the declared flag names (without "--").
+     * ConfigError naming the argument on an unknown, positional or
+     * repeated one; its message ends in a usage line listing @p flags.
+     */
+    Cli(int argc, const char* const* argv,
+        const std::vector<std::string>& flags);
 
     /** True when the switch appears (with or without a value). */
     bool has(const std::string& flag) const;
@@ -54,8 +62,31 @@ class Cli {
     std::vector<double> get_double_list(const std::string& flag) const;
 
   private:
-    std::vector<std::pair<std::string, std::string>> options_;
+    struct Option {
+        std::string name;
+        bool present = false;
+        std::string value;
+    };
+
+    /** The declared option @p flag; LogicBug when undeclared. */
+    const Option& option(const std::string& flag) const;
+
+    std::vector<Option> options_;
 };
+
+/**
+ * The entry point of the bench and example mains. Parses argv against
+ * @p flags plus the obs and fault session flags (--metrics,
+ * --metrics-out, --trace-out, --fault-seed, --fault-spec), opens both
+ * sessions and returns body(cli). An error ends the run with one
+ * "<tool>: <message>" line on stderr, <tool> being argv[0]'s file
+ * name: a ConfigError (a bad flag, value or configuration) exits 2
+ * and any other imc::Error exits 1. A parse error adds the usage
+ * line.
+ */
+int tool_main(int argc, const char* const* argv,
+              std::vector<std::string> flags,
+              const std::function<int(const Cli&)>& body);
 
 } // namespace imc
 

@@ -53,39 +53,4 @@ Table::print(std::ostream& os) const
     rule();
 }
 
-namespace {
-
-std::string
-csv_escape(const std::string& cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-void
-Table::print_csv(std::ostream& os) const
-{
-    auto emit = [&](const std::vector<std::string>& cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            os << csv_escape(cells[c]);
-        }
-        os << '\n';
-    };
-    emit(headers_);
-    for (const auto& row : rows_)
-        emit(row);
-}
-
 } // namespace imc

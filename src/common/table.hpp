@@ -4,7 +4,7 @@
 /**
  * @file
  * ASCII table builder used by the benchmark harnesses to print
- * paper-style tables, plus a CSV escape hatch for post-processing.
+ * paper-style tables.
  */
 
 #include <ostream>
@@ -36,9 +36,6 @@ class Table {
 
     /** Render with box-drawing separators. */
     void print(std::ostream& os) const;
-
-    /** Render as CSV (RFC-4180 style quoting). */
-    void print_csv(std::ostream& os) const;
 
   private:
     std::vector<std::string> headers_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests of the command-line option parser.
+ * Unit tests of the command-line option parser and the shared tool
+ * entry point.
  */
 
 #include <gtest/gtest.h>
@@ -12,12 +13,50 @@ using namespace imc;
 
 namespace {
 
-Cli
-make_cli(std::initializer_list<const char*> args)
+/** Every flag the parsing tests read. */
+const std::vector<std::string> kFlags{
+    "seed",    "reps",  "eps",  "name",  "apps",     "missing",
+    "dry-run", "delta", "note", "empty", "pressures"};
+
+std::vector<const char*>
+make_argv(std::initializer_list<const char*> args)
 {
     std::vector<const char*> argv{"prog"};
     argv.insert(argv.end(), args.begin(), args.end());
-    return Cli(static_cast<int>(argv.size()), argv.data());
+    return argv;
+}
+
+Cli
+make_cli(std::initializer_list<const char*> args)
+{
+    const auto argv = make_argv(args);
+    return Cli(static_cast<int>(argv.size()), argv.data(), kFlags);
+}
+
+/** The ConfigError message make_cli(@p args) throws. */
+std::string
+parse_error(std::initializer_list<const char*> args)
+{
+    try {
+        make_cli(args);
+    } catch (const ConfigError& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected ConfigError";
+    return "";
+}
+
+/** tool_main over @p args with @p flags; returns (status, stderr). */
+std::pair<int, std::string>
+run_tool(std::initializer_list<const char*> args,
+         const std::vector<std::string>& flags,
+         const std::function<int(const Cli&)>& body)
+{
+    const auto argv = make_argv(args);
+    testing::internal::CaptureStderr();
+    const int status =
+        tool_main(static_cast<int>(argv.size()), argv.data(), flags, body);
+    return {status, testing::internal::GetCapturedStderr()};
 }
 
 } // namespace
@@ -41,8 +80,8 @@ TEST(Cli, MissingFlagUsesDefault)
 
 TEST(Cli, BareSwitch)
 {
-    const Cli cli = make_cli({"--csv", "--seed", "7"});
-    EXPECT_TRUE(cli.has("csv"));
+    const Cli cli = make_cli({"--dry-run", "--seed", "7"});
+    EXPECT_TRUE(cli.has("dry-run"));
     EXPECT_EQ(cli.get_u64("seed", 1), 7u);
 }
 
@@ -116,12 +155,12 @@ TEST(Cli, NegativeIntAccepted)
 TEST(Cli, EqualsFormBindsInline)
 {
     const Cli cli =
-        make_cli({"--seed=99", "--eps=0.5", "--apps=a,b", "--csv"});
+        make_cli({"--seed=99", "--eps=0.5", "--apps=a,b", "--dry-run"});
     EXPECT_EQ(cli.get_u64("seed", 1), 99u);
     EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.0), 0.5);
     EXPECT_EQ(cli.get_list("apps"),
               (std::vector<std::string>{"a", "b"}));
-    EXPECT_TRUE(cli.has("csv"));
+    EXPECT_TRUE(cli.has("dry-run"));
 }
 
 TEST(Cli, EqualsFormAllowsFlagLikeValue)
@@ -177,4 +216,105 @@ TEST(Cli, NumericListsParseStrictly)
               (std::vector<int>{1, 3}));
     EXPECT_TRUE(make_cli({}).get_int_list("pressures").empty());
     EXPECT_TRUE(make_cli({}).get_double_list("pressures").empty());
+}
+
+// Regression: undeclared arguments were kept and ignored, so "--sedd 3"
+// ran the default seed and "--help" ran a whole sweep.
+TEST(Cli, UnknownFlagThrowsNamingItWithUsage)
+{
+    EXPECT_NE(parse_error({"--sedd", "3"})
+                  .find("unknown flag '--sedd'\nusage: prog [--seed] "
+                        "[--reps] [--eps]"),
+              std::string::npos);
+    EXPECT_NE(parse_error({"--sedd=3"}).find("unknown flag '--sedd'\n"),
+              std::string::npos);
+    EXPECT_NE(parse_error({"--help"}).find("unknown flag '--help'\n"),
+              std::string::npos);
+}
+
+TEST(Cli, PositionalArgumentThrowsNamingIt)
+{
+    EXPECT_NE(parse_error({"extra"}).find("unexpected argument 'extra'"),
+              std::string::npos);
+    // "--seed 1 2": the 1 is the seed, the 2 is positional.
+    EXPECT_NE(parse_error({"--seed", "1", "2"})
+                  .find("unexpected argument '2'"),
+              std::string::npos);
+}
+
+TEST(Cli, RepeatedFlagThrowsNamingIt)
+{
+    EXPECT_NE(parse_error({"--seed", "1", "--seed=2"})
+                  .find("repeated flag '--seed'"),
+              std::string::npos);
+    EXPECT_NE(parse_error({"--dry-run", "--dry-run"})
+                  .find("repeated flag '--dry-run'"),
+              std::string::npos);
+}
+
+TEST(Cli, UsageLineNamesTheProgramFile)
+{
+    const std::vector<const char*> argv{"build/bench/fig99", "--x"};
+    try {
+        const Cli cli(2, argv.data(), {"apps"});
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "unknown flag '--x'\nusage: fig99 [--apps]");
+    }
+}
+
+TEST(Cli, ReadingAnUndeclaredFlagIsALogicBug)
+{
+    const Cli cli = make_cli({"--seed", "1"});
+    EXPECT_THROW(cli.has("sed"), LogicBug);
+    EXPECT_THROW(cli.get("sed", ""), LogicBug);
+    EXPECT_THROW(cli.get_int("sed", 0), LogicBug);
+    EXPECT_THROW(cli.get_double("sed", 0.0), LogicBug);
+    EXPECT_THROW(cli.get_u64("sed", 0), LogicBug);
+    EXPECT_THROW(cli.get_list("sed"), LogicBug);
+    EXPECT_THROW(cli.get_int_list("sed"), LogicBug);
+    EXPECT_THROW(cli.get_double_list("sed"), LogicBug);
+}
+
+TEST(ToolMain, BodyStatusPassesThrough)
+{
+    const auto [status, err] =
+        run_tool({"--reps", "4"}, {"reps"}, [](const Cli& cli) {
+            return cli.get_int("reps", 1) + 3;
+        });
+    EXPECT_EQ(status, 7);
+    EXPECT_EQ(err, "");
+}
+
+TEST(ToolMain, ConfigErrorExitsTwoWithOneLine)
+{
+    const auto [status, err] =
+        run_tool({"--reps", "abc"}, {"reps"},
+                 [](const Cli& cli) { return cli.get_int("reps", 1); });
+    EXPECT_EQ(status, 2);
+    EXPECT_EQ(err, "prog: --reps: expected an integer, got 'abc'\n");
+}
+
+TEST(ToolMain, LogicBugExitsOneWithOneLine)
+{
+    const auto [status, err] = run_tool(
+        {}, {"reps"}, [](const Cli& cli) { return cli.get_int("rep", 1); });
+    EXPECT_EQ(status, 1);
+    EXPECT_EQ(err, "prog: flag '--rep' is read but not declared\n");
+}
+
+TEST(ToolMain, ParseErrorPrintsUsageAndSkipsTheBody)
+{
+    bool ran = false;
+    const auto [status, err] =
+        run_tool({"--help"}, {"reps"}, [&ran](const Cli&) {
+            ran = true;
+            return 0;
+        });
+    EXPECT_EQ(status, 2);
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(err, "prog: unknown flag '--help'\n"
+                   "usage: prog [--reps] [--metrics] [--metrics-out] "
+                   "[--trace-out] [--fault-seed] [--fault-spec]\n");
 }

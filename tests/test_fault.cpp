@@ -66,7 +66,8 @@ make_cli(std::initializer_list<const char*> args)
 {
     std::vector<const char*> argv{"prog"};
     argv.insert(argv.end(), args.begin(), args.end());
-    return Cli(static_cast<int>(argv.size()), argv.data());
+    return Cli(static_cast<int>(argv.size()), argv.data(),
+               {"fault-seed", "fault-spec", "reps"});
 }
 
 RunConfig

@@ -193,7 +193,8 @@ make_cli(std::initializer_list<const char*> args)
 {
     std::vector<const char*> argv{"prog"};
     argv.insert(argv.end(), args.begin(), args.end());
-    return Cli(static_cast<int>(argv.size()), argv.data());
+    return Cli(static_cast<int>(argv.size()), argv.data(),
+               {"metrics", "metrics-out", "trace-out", "seed"});
 }
 
 /** Every test starts and ends with a clean, disabled registry. */
@@ -485,6 +486,28 @@ TEST_F(ObsTest, SessionWithoutFlagsIsInert)
         EXPECT_FALSE(obs::enabled());
     }
     EXPECT_FALSE(obs::enabled());
+}
+
+// tool_main opens the obs session, so --metrics-out exports at exit.
+TEST_F(ObsTest, ToolMainWritesMetricsOut)
+{
+    obs::set_enabled(false);
+    const std::string path = "/tmp/imc_test_tool_main_metrics.txt";
+    const std::vector<const char*> argv{"prog", "--metrics-out",
+                                        path.c_str()};
+    const int status = tool_main(3, argv.data(), {}, [](const Cli&) {
+        obs::count("t.tool_main");
+        return 0;
+    });
+    EXPECT_EQ(status, 0);
+    EXPECT_FALSE(obs::enabled());
+    std::ifstream metrics(path);
+    ASSERT_TRUE(metrics.good());
+    std::stringstream text;
+    text << metrics.rdbuf();
+    EXPECT_NE(text.str().find("counter t.tool_main 1"), std::string::npos)
+        << text.str();
+    std::remove(path.c_str());
 }
 
 TEST_F(ObsTest, ResetDropsEverything)

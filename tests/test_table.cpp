@@ -55,15 +55,6 @@ TEST(Table, RowWidthChecked)
     EXPECT_THROW(t.add_row({"only-one"}), ConfigError);
 }
 
-TEST(Table, CsvEscapesSpecials)
-{
-    Table t({"a", "b"});
-    t.add_row({"x,y", "say \"hi\""});
-    std::ostringstream os;
-    t.print_csv(os);
-    EXPECT_EQ(os.str(), "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n");
-}
-
 TEST(BarChart, ScalesToMax)
 {
     BarChart chart("title", "%");
