@@ -16,12 +16,9 @@
  * row's verdict to FAIL and the exit status to 1, so the CI smoke
  * run enforces the physics, not just the formatting.
  *
- * The injected delay itself travels through the armed fault
- * schedule ("bsp.inject" slow clauses) — exactly the experiment's
- * methodology. Passing --fault-seed/--fault-spec replaces the
- * bench's own arming with yours (e.g. to add sim.crash chaos), in
- * which case your spec must include a bsp.inject clause for any
- * wave to exist.
+ * Each injected capture carries its delay in its scenario, so
+ * --fault-seed/--fault-spec only add chaos on top (a sim.crash
+ * clause crashes nodes mid-run).
  */
 
 #include <algorithm>
@@ -34,7 +31,6 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
 #include "common/strings.hpp"
 #include "sim/wave.hpp"
 #include "workload/delaywave.hpp"
@@ -90,9 +86,6 @@ print_wave_chart(std::ostream& os, const sim::Timeline& injected,
 int
 run(const Cli& cli)
 {
-    const bool user_armed =
-        cli.has("fault-seed") || cli.has("fault-spec");
-
     delaywave::Scenario proto;
     proto.nodes = cli.get_int("nodes", 24);
     proto.procs_per_node = cli.get_int("procs-per-node", 4);
@@ -124,9 +117,60 @@ run(const Cli& cli)
     if (inject_ranks.empty())
         inject_ranks = {total_ranks / 4, total_ranks / 2};
     require(seeds >= 1, "--seeds must be >= 1");
-    for (const int rank : inject_ranks)
-        require(rank >= 0 && rank < total_ranks,
-                "--inject-ranks out of range");
+
+    const auto scenario =
+        [&](int period, double sigma, std::uint64_t seed) {
+            delaywave::Scenario s = proto;
+            s.iterations = base_iters * period;
+            s.period = period;
+            s.noise_sigma = sigma;
+            s.seed = seed;
+            return s;
+        };
+
+    // Every capture of the sweep, checked before the first output
+    // line. Baselines come first, one per (period, sigma, seed) and
+    // shared by every delay and injection rank; then each row's
+    // injected captures, one per seed.
+    std::vector<delaywave::Scenario> batch;
+    std::map<std::tuple<int, double, std::uint64_t>, std::size_t>
+        base_index;
+    for (const int period : periods)
+        for (const double sigma : sigmas)
+            for (int rep = 0; rep < seeds; ++rep) {
+                const auto seed =
+                    seed0 + static_cast<std::uint64_t>(rep);
+                base_index[{period, sigma, seed}] = batch.size();
+                batch.push_back(scenario(period, sigma, seed));
+            }
+    struct Row {
+        int period = 0;
+        double sigma = 0.0;
+        double delay = 0.0;
+        int rank = 0;
+        /** Batch index of the row's first-seed injected capture. */
+        std::size_t first = 0;
+        sim::wave::Fit fit;
+        sim::wave::Prediction pred;
+    };
+    std::vector<Row> rows;
+    for (const double delay : delays)
+        for (const int period : periods)
+            for (const double sigma : sigmas)
+                for (const int rank : inject_ranks) {
+                    rows.push_back({period, sigma, delay, rank,
+                                    batch.size(), {}, {}});
+                    for (int rep = 0; rep < seeds; ++rep) {
+                        auto s = scenario(
+                            period, sigma,
+                            seed0 + static_cast<std::uint64_t>(rep));
+                        s.injections = {
+                            BspInjection{rank, inject_iter, delay}};
+                        batch.push_back(s);
+                    }
+                }
+    for (const auto& s : batch)
+        delaywave::validate(s);
 
     std::cout << "Delay-wave propagation vs the Afzal-Hager-Wellein "
                  "model\n(ranks="
@@ -141,105 +185,30 @@ run(const Cli& cli)
               << fmt_fixed(decay_band, 1)
               << " of the mean-field prediction.\n\n";
 
-    const auto scenario =
-        [&](int period, double sigma, std::uint64_t seed) {
-            delaywave::Scenario s = proto;
-            s.iterations = base_iters * period;
-            s.period = period;
-            s.noise_sigma = sigma;
-            s.seed = seed;
-            return s;
-        };
-
-    // Baselines: one per (period, sigma, seed), shared by every
-    // delay and injection rank. Never armed — a baseline probes no
-    // fault site.
-    std::vector<delaywave::Scenario> base_batch;
-    std::map<std::tuple<int, double, std::uint64_t>, std::size_t>
-        base_index;
-    for (const int period : periods)
-        for (const double sigma : sigmas)
-            for (int rep = 0; rep < seeds; ++rep) {
-                const auto seed =
-                    seed0 + static_cast<std::uint64_t>(rep);
-                base_index[{period, sigma, seed}] = base_batch.size();
-                base_batch.push_back(scenario(period, sigma, seed));
-            }
-    const auto baselines = delaywave::capture_sweep(base_batch, threads);
-
-    // Injected captures, one armed sweep per delay magnitude (the
-    // clause parameter is the delay, so different delays cannot
-    // share a schedule).
-    struct Row {
-        int period = 0;
-        double sigma = 0.0;
-        double delay = 0.0;
-        int rank = 0;
-        sim::wave::Fit fit;
-        sim::wave::Prediction pred;
+    const auto captures = delaywave::capture_sweep(batch, threads);
+    const auto baseline_of = [&](std::size_t i) -> const sim::Timeline& {
+        return captures[base_index.at({batch[i].period,
+                                       batch[i].noise_sigma,
+                                       batch[i].seed})]
+            .timeline;
     };
-    std::vector<Row> rows;
-    sim::Timeline chart_injected;
-    sim::Timeline chart_baseline;
-    int chart_period = 1;
-    double chart_delay = 0.0;
-    double chart_sigma = 0.0;
-
-    for (const double delay : delays) {
-        std::vector<delaywave::Scenario> batch;
-        for (const int period : periods)
-            for (const double sigma : sigmas)
-                for (const int rank : inject_ranks)
-                    for (int rep = 0; rep < seeds; ++rep) {
-                        auto s = scenario(
-                            period, sigma,
-                            seed0 + static_cast<std::uint64_t>(rep));
-                        s.injections = {
-                            BspInjection{rank, inject_iter}};
-                        batch.push_back(s);
-                    }
-        if (!user_armed)
-            fault::arm(1, "bsp.inject:slow:1:" +
-                              std::to_string(static_cast<int>(
-                                  delay * 1000.0)));
-        const auto captures = delaywave::capture_sweep(batch, threads);
-        if (!user_armed)
-            fault::disarm();
-
-        std::size_t i = 0;
-        for (const int period : periods)
-            for (const double sigma : sigmas)
-                for (const int rank : inject_ranks) {
-                    std::vector<sim::wave::Observed> runs;
-                    for (int rep = 0; rep < seeds; ++rep, ++i) {
-                        const auto& injected = captures[i];
-                        const auto& baseline = baselines
-                            [base_index[{period, sigma,
-                                         batch[i].seed}]];
-                        runs.push_back(sim::wave::extract_fronts(
-                            injected.timeline, baseline.timeline,
-                            rank, inject_iter, 0.5 * delay));
-                        // Showcase chart: the last sweep point's
-                        // first seed at the mid-chain rank.
-                        if (rep == 0 && rank == inject_ranks.back()) {
-                            chart_injected = injected.timeline;
-                            chart_baseline = baseline.timeline;
-                            chart_period = period;
-                            chart_delay = delay;
-                            chart_sigma = sigma;
-                        }
-                    }
-                    Row row;
-                    row.period = period;
-                    row.sigma = sigma;
-                    row.delay = delay;
-                    row.rank = rank;
-                    row.fit = sim::wave::fit_waves(runs);
-                    row.pred = sim::wave::analytic(
-                        delaywave::analytic_model(
-                            scenario(period, sigma, seed0), delay));
-                    rows.push_back(row);
-                }
+    // Showcase chart: the last sweep point's first seed at the
+    // mid-chain rank.
+    std::size_t chart = 0;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        Row& row = rows[r];
+        std::vector<sim::wave::Observed> runs;
+        for (int rep = 0; rep < seeds; ++rep) {
+            const std::size_t i = row.first + static_cast<std::size_t>(rep);
+            runs.push_back(sim::wave::extract_fronts(
+                captures[i].timeline, baseline_of(i), row.rank,
+                inject_iter, 0.5 * row.delay));
+        }
+        row.fit = sim::wave::fit_waves(runs);
+        row.pred = sim::wave::analytic(delaywave::analytic_model(
+            scenario(row.period, row.sigma, seed0), row.delay));
+        if (row.rank == inject_ranks.back())
+            chart = r;
     }
 
     std::cout << "period sigma delay rank |   r/s  model   err% |"
@@ -283,11 +252,12 @@ run(const Cli& cli)
                   << " | " << verdict << '\n';
     }
 
-    std::cout << "\nShowcase wave (period=" << chart_period
-              << ", sigma=" << fmt_fixed(chart_sigma, 2)
-              << ", delay=" << fmt_fixed(chart_delay, 2) << "s):\n";
-    print_wave_chart(std::cout, chart_injected, chart_baseline,
-                     chart_period, chart_delay);
+    const Row& shown = rows[chart];
+    std::cout << "\nShowcase wave (period=" << shown.period
+              << ", sigma=" << fmt_fixed(shown.sigma, 2)
+              << ", delay=" << fmt_fixed(shown.delay, 2) << "s):\n";
+    print_wave_chart(std::cout, captures[shown.first].timeline,
+                     baseline_of(shown.first), shown.period, shown.delay);
 
     std::cout << "\nGATE: " << (all_pass ? "PASS" : "FAIL")
               << " (worst speed err "

@@ -6,8 +6,9 @@
  * cluster again.
  *
  * Subcommands (the first argument; "trace gen" is two words). Each
- * declares the flags it reads in main's command table; any other
- * argument is an error that prints the command's usage line.
+ * declares the value flags and switches it reads in main's command
+ * table; any other argument is an error that prints the command's
+ * usage line.
  *
  *   profile --app M.milc --out milc.model
  *       Build the app's interference model and save it.
@@ -405,10 +406,12 @@ cmd_serve(const Cli& cli)
     return 0;
 }
 
-/** One subcommand: its name, the flags it reads and its body. */
+/** One subcommand: its name, the value flags and switches it reads
+ *  and its body. */
 struct Command {
     std::string name;
     std::vector<std::string> flags;
+    std::vector<std::string> switches;
     int (*run)(const Cli&);
 };
 
@@ -420,26 +423,30 @@ main(int argc, char** argv)
     const std::vector<Command> commands{
         {"profile",
          {"app", "nodes", "out", "seed", "reps", "threads", "model-cache"},
+         {},
          cmd_profile},
-        {"show", {"model"}, cmd_show},
-        {"predict", {"model", "pressures"}, cmd_predict},
+        {"show", {"model"}, {}, cmd_show},
+        {"predict", {"model", "pressures"}, {}, cmd_predict},
         {"place",
          {"apps", "iters", "chains", "qos", "target", "seed", "reps",
           "threads", "model-cache"},
+         {},
          cmd_place},
         {"campaign",
-         {"apps", "passes", "epsilon", "ec2", "seed", "reps", "threads"},
+         {"apps", "passes", "epsilon", "seed", "reps", "threads"},
+         {"ec2"},
          cmd_campaign},
         {"trace gen",
          {"out", "nodes", "slots", "duration", "rate", "lifetime",
           "sigma", "max-units", "slo-frac", "crash-rate", "repair",
           "service-frac", "apps", "seed"},
+         {},
          cmd_trace_gen},
         {"serve",
          {"trace", "candidates", "polish", "slo-penalty", "seed",
-          "no-evict", "oracle-every", "oracle-iters", "oracle-chains",
-          "execute", "timing", "profile-seed", "reps", "threads",
-          "model-cache"},
+          "oracle-every", "oracle-iters", "oracle-chains",
+          "profile-seed", "reps", "threads", "model-cache"},
+         {"no-evict", "execute", "timing"},
          cmd_serve},
     };
 
@@ -457,7 +464,7 @@ main(int argc, char** argv)
         std::vector<const char*> args{tool.c_str()};
         args.insert(args.end(), argv + first_flag, argv + argc);
         return tool_main(static_cast<int>(args.size()), args.data(),
-                         command.flags, command.run);
+                         command.flags, command.run, command.switches);
     }
     std::cerr << "usage: imctl <profile|show|predict|place|campaign|"
                  "trace gen|serve> [flags]\n";

@@ -72,29 +72,25 @@ tool_name(int argc, const char* const* argv)
 } // namespace
 
 Cli::Cli(int argc, const char* const* argv,
-         const std::vector<std::string>& flags)
+         const std::vector<std::string>& flags,
+         const std::vector<std::string>& switches)
 {
     // Every argument error ends in the usage line.
     std::string usage = "\nusage: " + tool_name(argc, argv);
-    for (const auto& flag : flags) {
-        options_.push_back({flag, false, ""});
-        usage += " [--" + flag + "]";
-    }
+    for (const auto& flag : flags)
+        options_.push_back({flag, false, false, ""});
+    for (const auto& flag : switches)
+        options_.push_back({flag, true, false, ""});
+    for (const auto& o : options_)
+        usage += " [--" + o.name + "]";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
             throw ConfigError("unexpected argument '" + arg + "'" + usage);
         std::string key = arg.substr(2);
-        std::string value;
-        // "--flag=value" binds inline; "--flag value" consumes the
-        // next argument unless it is itself a flag.
-        if (const auto eq = key.find('='); eq != std::string::npos) {
-            value = key.substr(eq + 1);
+        const auto eq = key.find('=');
+        if (eq != std::string::npos)
             key.resize(eq);
-        } else if (i + 1 < argc &&
-                   std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            value = argv[++i];
-        }
         const auto it = std::find_if(
             options_.begin(), options_.end(),
             [&](const Option& o) { return o.name == key; });
@@ -103,7 +99,22 @@ Cli::Cli(int argc, const char* const* argv,
         if (it->present)
             throw ConfigError("repeated flag '--" + key + "'" + usage);
         it->present = true;
-        it->value = std::move(value);
+        if (it->is_switch) {
+            if (eq != std::string::npos)
+                throw ConfigError("switch '--" + key +
+                                  "' takes no value" + usage);
+            continue;
+        }
+        // "--flag=value" binds inline; "--flag value" consumes the
+        // next argument unless it is itself a flag.
+        if (eq != std::string::npos)
+            it->value = arg.substr(eq + 3);
+        else if (i + 1 < argc &&
+                 std::string(argv[i + 1]).rfind("--", 0) != 0)
+            it->value = argv[++i];
+        if (it->value.empty())
+            throw ConfigError("flag '--" + key + "' needs a value" +
+                              usage);
     }
 }
 
@@ -127,6 +138,8 @@ std::string
 Cli::get(const std::string& flag, const std::string& def) const
 {
     const Option& o = option(flag);
+    if (o.is_switch)
+        throw LogicBug("switch '--" + flag + "' is read as a value");
     return o.present ? o.value : def;
 }
 
@@ -206,13 +219,15 @@ Cli::get_double_list(const std::string& flag) const
 int
 tool_main(int argc, const char* const* argv,
           std::vector<std::string> flags,
-          const std::function<int(const Cli&)>& body)
+          const std::function<int(const Cli&)>& body,
+          std::vector<std::string> switches)
 {
     const std::string tool = tool_name(argc, argv);
-    flags.insert(flags.end(), {"metrics", "metrics-out", "trace-out",
-                               "fault-seed", "fault-spec"});
+    flags.insert(flags.end(),
+                 {"metrics-out", "trace-out", "fault-seed", "fault-spec"});
+    switches.emplace_back("metrics");
     try {
-        const Cli cli(argc, argv, flags);
+        const Cli cli(argc, argv, flags, switches);
         const obs::Session obs_session(cli);
         const fault::Session fault_session(cli);
         return body(cli);

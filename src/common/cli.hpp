@@ -4,13 +4,16 @@
 /**
  * @file
  * Command-line parsing and the entry point shared by every bench and
- * example main. A tool declares the flags it reads; each may appear
- * once, as "--flag value", "--flag=value" or a bare "--flag" switch,
- * and is optional with a default. An unknown, positional or repeated
- * argument is a ConfigError, and reading a flag the tool did not
- * declare is a LogicBug. Numeric accessors parse strictly: a
- * malformed value ("--reps abc", "--alpha 0.3x") raises ConfigError
- * instead of being silently mangled by atoi/atof semantics.
+ * example main. A tool declares the value flags and the switches it
+ * reads; each may appear once and is optional. A value flag takes
+ * "--flag value" or "--flag=value" and falls back to a default when
+ * absent; a switch is a bare "--flag" that never consumes the next
+ * argument. An unknown, positional or repeated argument, a value
+ * flag without a value and a switch given one are ConfigErrors, and
+ * reading a flag the tool did not declare is a LogicBug. Numeric
+ * accessors parse strictly: a malformed value ("--reps abc",
+ * "--alpha 0.3x") raises ConfigError instead of being silently
+ * mangled by atoi/atof semantics.
  */
 
 #include <cstdint>
@@ -24,17 +27,21 @@ namespace imc {
 class Cli {
   public:
     /**
-     * Parse argv against the declared flag names (without "--").
-     * ConfigError naming the argument on an unknown, positional or
-     * repeated one; its message ends in a usage line listing @p flags.
+     * Parse argv against the declared value @p flags and @p switches
+     * (names without "--"). ConfigError naming the argument on an
+     * unknown, positional or repeated one, on a value flag without a
+     * value and on a switch with one; its message ends in a usage
+     * line listing the declared names.
      */
     Cli(int argc, const char* const* argv,
-        const std::vector<std::string>& flags);
+        const std::vector<std::string>& flags,
+        const std::vector<std::string>& switches = {});
 
-    /** True when the switch appears (with or without a value). */
+    /** True when the value flag or switch appears. */
     bool has(const std::string& flag) const;
 
-    /** Value of "--flag value", or @p def when absent. */
+    /** Value of "--flag value", or @p def when absent; LogicBug on a
+     *  switch. */
     std::string get(const std::string& flag,
                     const std::string& def) const;
 
@@ -64,6 +71,7 @@ class Cli {
   private:
     struct Option {
         std::string name;
+        bool is_switch = false;
         bool present = false;
         std::string value;
     };
@@ -76,17 +84,18 @@ class Cli {
 
 /**
  * The entry point of the bench and example mains. Parses argv against
- * @p flags plus the obs and fault session flags (--metrics,
- * --metrics-out, --trace-out, --fault-seed, --fault-spec), opens both
- * sessions and returns body(cli). An error ends the run with one
- * "<tool>: <message>" line on stderr, <tool> being argv[0]'s file
- * name: a ConfigError (a bad flag, value or configuration) exits 2
- * and any other imc::Error exits 1. A parse error adds the usage
- * line.
+ * @p flags and @p switches plus the obs and fault session flags
+ * (--metrics-out, --trace-out, --fault-seed, --fault-spec and the
+ * --metrics switch), opens both sessions and returns body(cli). An
+ * error ends the run with one "<tool>: <message>" line on stderr,
+ * <tool> being argv[0]'s file name: a ConfigError (a bad flag, value
+ * or configuration) exits 2 and any other imc::Error exits 1. A parse
+ * error adds the usage line.
  */
 int tool_main(int argc, const char* const* argv,
               std::vector<std::string> flags,
-              const std::function<int(const Cli&)>& body);
+              const std::function<int(const Cli&)>& body,
+              std::vector<std::string> switches = {});
 
 } // namespace imc
 

@@ -64,9 +64,6 @@ namespace imc::fault {
  *   sim.crash           node-crash schedule (delay-wave chaos runs)
  *   sched.admit         scheduler admission control (arrival rejected)
  *   sched.evict         scheduler eviction (victim candidate vetoed)
- *   bsp.inject          one-off BSP compute-segment delay (the
- *                       delay-wave study's injector; slow clauses set
- *                       the injected delay magnitude)
  */
 inline constexpr const char* kFaultSites[] = {
     "run.exec",
@@ -74,7 +71,6 @@ inline constexpr const char* kFaultSites[] = {
     "sim.crash",
     "sched.admit",
     "sched.evict",
-    "bsp.inject",
 };
 
 /** What a probe decided to inject at one logical point. */

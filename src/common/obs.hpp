@@ -116,8 +116,6 @@ inline constexpr const char* kObsNames[] = {
     "scorer.calibration_runs",
     "scorer.probe_runs",
     "scorer.score:*",
-    // BSP driver: armed "bsp.inject" slow clauses actually applied
-    "bsp.injected",
     // delay-wave study captures (workload/delaywave.cpp)
     "wave.captures",
     "wave.crashed_ranks",

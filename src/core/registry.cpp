@@ -268,7 +268,7 @@ ModelRegistry::build(const workload::AppSpec& app, int deploy_nodes)
                     "ModelRegistry: cannot create model cache dir '" +
                         dir.string() + "'");
         }
-        save_model_file_atomic(path, built.model);
+        save_model_file(path, built.model);
     }
     return built;
 }

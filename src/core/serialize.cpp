@@ -173,18 +173,6 @@ load_model(std::istream& is)
 void
 save_model_file(const std::string& path, const InterferenceModel& model)
 {
-    std::ofstream os(path);
-    require(static_cast<bool>(os),
-            "save_model_file: cannot open '" + path + "'");
-    save_model(os, model);
-    require(static_cast<bool>(os),
-            "save_model_file: write failed for '" + path + "'");
-}
-
-void
-save_model_file_atomic(const std::string& path,
-                       const InterferenceModel& model)
-{
     namespace fs = std::filesystem;
     // Unique sibling temp name (rename is atomic only within one
     // directory/filesystem): pid + a process-wide ticket distinguish
@@ -194,13 +182,15 @@ save_model_file_atomic(const std::string& path,
     tmp += ".tmp." + std::to_string(::getpid()) + "." +
            std::to_string(ticket.fetch_add(1,
                                            std::memory_order_relaxed));
-    save_model_file(tmp.string(), model);
+    std::ofstream os(tmp);
+    save_model(os, model); // a stream that failed to open ignores it
+    os.close();
     std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
+    if (os)
+        fs::rename(tmp, path, ec);
+    if (!os || ec) {
         fs::remove(tmp, ec);
-        throw ConfigError("save_model_file_atomic: cannot rename into '" +
-                          path + "'");
+        throw ConfigError("save_model_file: cannot write '" + path + "'");
     }
 }
 

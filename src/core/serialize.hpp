@@ -40,19 +40,15 @@ void save_model(std::ostream& os, const InterferenceModel& model);
  */
 InterferenceModel load_model(std::istream& is);
 
-/** Convenience: save to a file path. @throws ConfigError on I/O error */
+/**
+ * Save to a file path: writes a unique sibling temp file and renames
+ * it into place, so a concurrent reader — or the quarantine scan of a
+ * later run — can never observe a torn, partially written file, and
+ * concurrent writers of the same path leave one intact winner.
+ * @throws ConfigError naming @p path on I/O error
+ */
 void save_model_file(const std::string& path,
                      const InterferenceModel& model);
-
-/**
- * Atomic variant of save_model_file: writes to a unique sibling temp
- * file and renames it into place, so a concurrent reader — or the
- * quarantine scan of a later run — can never observe a torn, partially
- * written file, and concurrent writers of the same path leave one
- * intact winner. @throws ConfigError on I/O error
- */
-void save_model_file_atomic(const std::string& path,
-                            const InterferenceModel& model);
 
 /** Convenience: load from a file path. @throws ConfigError */
 InterferenceModel load_model_file(const std::string& path);

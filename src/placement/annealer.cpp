@@ -71,6 +71,19 @@ struct ChainResult {
     int accepted = 0;
 };
 
+/** Initial Metropolis temperature (objective units). */
+constexpr double kStartTemperature = 1.0;
+/** Final temperature. */
+constexpr double kEndTemperature = 0.01;
+/**
+ * Weight of the QoS violation in the annealed objective. The
+ * heterogeneity conversion makes predictions non-monotone in single
+ * swaps, so a hard never-worsen-violation rule can trap the search;
+ * instead the violation is penalized heavily and annealed with the
+ * rest (the returned best is still selected violation-first).
+ */
+constexpr double kQosPenalty = 100.0;
+
 ChainResult
 anneal_chain(Placement initial, const Evaluator& evaluator, Goal goal,
              const std::optional<QosConstraint>& qos,
@@ -87,9 +100,9 @@ anneal_chain(Placement initial, const Evaluator& evaluator, Goal goal,
 
     const auto units = all_units(scorer.placement());
     const double cool =
-        std::pow(opts.t_end / opts.t_start,
+        std::pow(kEndTemperature / kStartTemperature,
                  1.0 / static_cast<double>(opts.iterations));
-    double temperature = opts.t_start;
+    double temperature = kStartTemperature;
     int accepted = 0;
 
     for (int iter = 0; iter < opts.iterations;
@@ -116,8 +129,7 @@ anneal_chain(Placement initial, const Evaluator& evaluator, Goal goal,
         // creates without abandoning the QoS goal.
         const double delta =
             direction * (cand.total - current_score.total) +
-            opts.qos_penalty *
-                (cand.violation - current_score.violation);
+            kQosPenalty * (cand.violation - current_score.violation);
         const bool accept =
             delta <= 0.0 ||
             rng.uniform() < std::exp(-delta / temperature);
@@ -155,9 +167,6 @@ anneal(Placement initial, const Evaluator& evaluator, Goal goal,
 {
     require(initial.valid(), "anneal: initial placement invalid");
     require(opts.iterations >= 1, "anneal: iterations must be >= 1");
-    require(opts.t_start > 0.0 && opts.t_end > 0.0 &&
-                opts.t_end <= opts.t_start,
-            "anneal: bad temperature schedule");
     require(opts.chains >= 0, "anneal: chains must be >= 0");
     if (qos) {
         require(qos->instance >= 0 &&

@@ -47,19 +47,6 @@ struct QosConstraint {
 struct AnnealOptions {
     /** Proposed swaps (per chain). */
     int iterations = 4000;
-    /** Initial Metropolis temperature (objective units). */
-    double t_start = 1.0;
-    /** Final temperature. */
-    double t_end = 0.01;
-    /**
-     * Weight of the QoS violation in the annealed objective. The
-     * heterogeneity conversion makes predictions non-monotone in
-     * single swaps, so a hard never-worsen-violation rule can trap
-     * the search; instead the violation is penalized heavily and
-     * annealed with the rest (the returned best is still selected
-     * violation-first).
-     */
-    double qos_penalty = 100.0;
     /** RNG seed of the search. */
     std::uint64_t seed = 1;
     /**
@@ -84,8 +71,8 @@ struct AnnealOptions {
      * Per-instance SLO targets (maximum acceptable normalized time;
      * <= 0 = best-effort). When non-empty it must be index-aligned
      * with the placement; the unit-weighted debt (placement::slo_debt)
-     * joins the QoS violation in the annealed score, weighted by
-     * qos_penalty and selected violation-first — QoS placement
+     * joins the QoS violation in the annealed score, penalized and
+     * selected violation-first like it — QoS placement
      * minimizing p99 violations for service apps. Empty (the default)
      * leaves every search byte-identical to the pre-SLO behaviour.
      */

@@ -24,11 +24,14 @@ struct ExecApp {
     std::vector<sim::NodeId> nodes;
 };
 
+/** Seed of execute-mode launch randomness. */
+constexpr std::uint64_t kExecSeed = 7;
+
 /** Execute-mode world: the simulation plus attached apps. */
 class Executor {
   public:
-    Executor(const Trace& trace, std::uint64_t seed)
-        : sim_(sim::ClusterSpec::scaled(trace.num_nodes)), rng_(seed)
+    explicit Executor(const Trace& trace)
+        : sim_(sim::ClusterSpec::scaled(trace.num_nodes)), rng_(kExecSeed)
     {
         for (const auto& e : trace.events)
             require(e.kind != EventKind::kJoin,
@@ -179,7 +182,7 @@ replay(const Trace& trace, placement::Evaluator& evaluator,
                        trace.slots_per_node, opts.sched);
     std::optional<Executor> exec;
     if (opts.execute)
-        exec.emplace(trace, opts.exec_seed);
+        exec.emplace(trace);
 
     ReplayResult r;
     r.latencies_ms.reserve(trace.events.size());

@@ -54,8 +54,6 @@ struct ReplayOptions {
      * nodes cannot rejoin).
      */
     bool execute = false;
-    /** Seed of execute-mode launch randomness. */
-    std::uint64_t exec_seed = 7;
 };
 
 /** One oracle comparison point. */

@@ -186,16 +186,21 @@ extra_wait_field(const Timeline& injected, const Timeline& baseline)
     });
 }
 
+/**
+ * Fraction of a rank's own peak extra wait that marks the front's
+ * arrival there. Relative, not absolute: a damped wave's leading edge
+ * erodes first, so a fixed cut would slide backwards into the wave
+ * body with distance and bias the fitted speed low.
+ */
+constexpr double kFrontFrac = 0.5;
+
 Observed
 extract_fronts(const Timeline& injected, const Timeline& baseline,
-               int source_rank, int source_iter, double threshold,
-               double front_frac)
+               int source_rank, int source_iter, double threshold)
 {
     require(source_rank >= 0 && source_rank < injected.ranks(),
             "extract_fronts: source rank out of range");
     require(threshold > 0.0, "extract_fronts: threshold must be > 0");
-    require(front_frac > 0.0 && front_frac <= 1.0,
-            "extract_fronts: front_frac must be in (0, 1]");
     const int iters = injected.iters();
     const auto field = extra_wait_field(injected, baseline);
 
@@ -219,7 +224,7 @@ extract_fronts(const Timeline& injected, const Timeline& baseline,
                 f.amplitude, field[row + static_cast<std::size_t>(k)]);
         if (f.amplitude >= threshold) {
             f.reached = true;
-            const double crossing = front_frac * f.amplitude;
+            const double crossing = kFrontFrac * f.amplitude;
             for (int k = 0; k < n; ++k) {
                 if (field[row + static_cast<std::size_t>(k)] <
                     crossing)

@@ -74,8 +74,8 @@ struct Front {
     int dist = 0;
     /** True when the extra-wait spike exceeded the threshold. */
     bool reached = false;
-    /** First iteration whose extra wait crossed front_frac of the
-     *  rank's own peak. */
+    /** First iteration whose extra wait crossed half of the rank's
+     *  own peak. */
     int iter = 0;
     /** Baseline release time of that iteration (wave arrival). */
     double time = 0.0;
@@ -105,16 +105,13 @@ struct Observed {
  *        wave to count as having *reached* it; choose well above 0
  *        and below the injected delay (the delay-wave bench uses half
  *        the injected delay)
- * @param front_frac fraction of a rank's own peak extra wait that
- *        marks the front's arrival there. Relative, not absolute: a
- *        damped wave's leading edge erodes first, so a fixed cut
- *        would slide backwards into the wave body with distance and
- *        bias the fitted speed low.
+ *
+ * The front arrives at a rank where its extra wait first crosses
+ * half of the rank's own peak.
  */
 Observed extract_fronts(const Timeline& injected,
                         const Timeline& baseline, int source_rank,
-                        int source_iter, double threshold,
-                        double front_frac = 0.5);
+                        int source_iter, double threshold);
 
 /** Propagation speed and decay fitted from an Observed wave. */
 struct Fit {

@@ -37,18 +37,21 @@ enum class AppKind {
 };
 
 /**
- * One one-off delay target inside a BSP run (delay-wave study,
- * DESIGN.md §11): the compute segment of global process @c rank at
- * iteration @c iter consults the "bsp.inject" fault site when it
- * completes, and an armed slow clause stretches that segment by the
- * clause's delay — the simulated analogue of the injected busy-loop
- * in the Afzal–Hager–Wellein experiments.
+ * One one-off delay inside a BSP run (delay-wave study, DESIGN.md
+ * §11): the compute segment of global process @c rank at iteration
+ * @c iter runs @c delay seconds longer — the simulated analogue of
+ * the injected busy-loop in the Afzal–Hager–Wellein experiments.
+ * BspApp rejects a target outside the run or a delay that is not
+ * positive and finite.
  */
 struct BspInjection {
-    /** Global process rank (node-major), >= 0. */
+    /** Global process rank (node-major), in [0, ranks). */
     int rank = 0;
-    /** Iteration whose compute segment the delay extends, >= 0. */
+    /** Iteration whose compute segment the delay extends, in
+     *  [0, iterations). */
     int iter = 0;
+    /** Added compute-segment time, seconds. */
+    double delay = 0.0;
 };
 
 /** Parameters of the bulk-synchronous template. */
@@ -84,11 +87,7 @@ struct BspParams {
      * instead of stalling the whole application at once.
      */
     int neighbor_halo = 0;
-    /**
-     * One-off delay targets. Empty (the default) skips the fault
-     * probe entirely, so the recorded figures never pay for it; see
-     * BspInjection.
-     */
+    /** One-off delays (see BspInjection); empty by default. */
     std::vector<BspInjection> injections;
 };
 

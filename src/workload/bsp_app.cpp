@@ -1,13 +1,25 @@
 #include "workload/bsp_app.hpp"
 
 #include <algorithm>
-#include <string>
+#include <cmath>
 
 #include "common/error.hpp"
-#include "common/fault.hpp"
-#include "common/obs.hpp"
 
 namespace imc::workload {
+
+void
+check_injections(const std::vector<BspInjection>& injections, int ranks,
+                 int iterations)
+{
+    for (const auto& inj : injections) {
+        require(inj.rank >= 0 && inj.rank < ranks,
+                "BspApp: injection rank out of range");
+        require(inj.iter >= 0 && inj.iter < iterations,
+                "BspApp: injection iteration out of range");
+        require(inj.delay > 0.0 && std::isfinite(inj.delay),
+                "BspApp: injection delay must be positive and finite");
+    }
+}
 
 BspApp::BspApp(sim::Simulation& sim, AppSpec spec, LaunchOptions opts)
     : RunningApp(sim, std::move(spec), std::move(opts)),
@@ -24,9 +36,7 @@ BspApp::BspApp(sim::Simulation& sim, AppSpec spec, LaunchOptions opts)
             "BspApp: iters_per_collective must be >= 1");
     require(params.neighbor_halo >= 0,
             "BspApp: neighbor_halo must be >= 0");
-    for (const auto& inj : params.injections)
-        require(inj.rank >= 0 && inj.iter >= 0,
-                "BspApp: injection rank/iter must be >= 0");
+    check_injections(params.injections, total_procs_, params.iterations);
 
     register_tenants();
     node_seed_ = opts_.rng.fork("node-noise").seed();
@@ -73,6 +83,10 @@ BspApp::step(std::size_t idx)
     const auto node_idx =
         idx / static_cast<std::size_t>(opts_.procs_per_node);
     const sim::TenantId tenant = tenants_[node_idx];
+    // A sync may still release a process after its node crashed; the
+    // work is lost with the node, so the process stops here.
+    if (!sim_.tenant_live(tenant))
+        return;
     const double slow = sim_.tenant_slowdown(tenant);
     const double node_sigma =
         spec_.bsp.node_noise_base +
@@ -98,32 +112,19 @@ BspApp::segment_done(std::size_t idx)
     // An injected one-off delay extends *this* compute segment — pure
     // simulated time, no extra RNG draws, so the same seed replays the
     // identical noise field with and without the injection and their
-    // timelines subtract into an exact lateness field.
-    const double delay = injected_delay(idx, procs_[idx].iter);
+    // timelines subtract into an exact lateness field. Injections on
+    // one segment add up.
+    double delay = 0.0;
+    for (const auto& inj : spec_.bsp.injections) {
+        if (inj.rank == static_cast<int>(idx) &&
+            inj.iter == procs_[idx].iter)
+            delay += inj.delay;
+    }
     if (delay > 0.0) {
         sim_.schedule(delay, [this, idx] { finish_segment(idx); });
         return;
     }
     finish_segment(idx);
-}
-
-double
-BspApp::injected_delay(std::size_t idx, int iter) const
-{
-    for (const auto& inj : spec_.bsp.injections) {
-        if (inj.rank != static_cast<int>(idx) || inj.iter != iter)
-            continue;
-        const auto outcome = IMC_FAULT_PROBE(
-            "bsp.inject",
-            spec_.abbrev + ":r" + std::to_string(idx) + ":i" +
-                std::to_string(iter),
-            0);
-        if (outcome.delay_ms > 0.0) {
-            IMC_OBS_COUNT("bsp.injected");
-            return outcome.delay_ms / 1000.0;
-        }
-    }
-    return 0.0;
 }
 
 void

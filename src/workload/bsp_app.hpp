@@ -16,10 +16,9 @@
  * Two opt-in extensions serve the delay-wave validation study
  * (DESIGN.md §11): spec.bsp.neighbor_halo >= 1 swaps the global
  * barrier for nearest-neighbor coupling (sim::NeighborSync), and
- * spec.bsp.injections marks compute segments whose completion probes
- * the "bsp.inject" fault site so an armed slow clause stretches
- * exactly that segment. Both default off and leave the recorded
- * figures' code path untouched.
+ * spec.bsp.injections stretches chosen compute segments by a one-off
+ * delay. Both default off and leave the recorded figures' code path
+ * untouched.
  */
 
 #include <vector>
@@ -28,6 +27,15 @@
 #include "workload/app.hpp"
 
 namespace imc::workload {
+
+/**
+ * ConfigError unless every injection targets a rank in [0, @p ranks)
+ * and an iteration in [0, @p iterations) with a positive, finite
+ * delay. BspApp checks its spec with it at launch, and
+ * delaywave::validate checks a scenario with it before any capture.
+ */
+void check_injections(const std::vector<BspInjection>& injections,
+                      int ranks, int iterations);
 
 /** A live bulk-synchronous application instance. */
 class BspApp : public RunningApp {
@@ -51,9 +59,6 @@ class BspApp : public RunningApp {
 
     /** Post-delay completion: stamp, then sync or next iteration. */
     void finish_segment(std::size_t idx);
-
-    /** Injected one-off delay (seconds) for this segment, usually 0. */
-    double injected_delay(std::size_t idx, int iter) const;
 
     void halt_procs() override;
 

@@ -13,6 +13,7 @@
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "workload/app.hpp"
+#include "workload/bsp_app.hpp"
 
 namespace imc::workload::delaywave {
 
@@ -47,8 +48,8 @@ scenario_spec(const Scenario& s)
     return spec;
 }
 
-Capture
-capture(const Scenario& s)
+void
+validate(const Scenario& s)
 {
     require(s.nodes >= 1, "delaywave: nodes must be >= 1");
     require(s.procs_per_node >= 1,
@@ -56,6 +57,13 @@ capture(const Scenario& s)
     require(s.iterations >= 1, "delaywave: iterations must be >= 1");
     require(s.work > 0.0, "delaywave: work must be > 0");
     require(s.period >= 1, "delaywave: period must be >= 1");
+    check_injections(s.injections, ranks(s), s.iterations);
+}
+
+Capture
+capture(const Scenario& s)
+{
+    validate(s);
 
     sim::Simulation sim(sim::ClusterSpec::scaled(s.nodes));
 
@@ -109,9 +117,9 @@ capture(const Scenario& s)
 std::vector<Capture>
 capture_sweep(const std::vector<Scenario>& batch, int threads)
 {
-    // Each capture is a pure function of its scenario (and the armed
-    // schedule, itself pure in content keys), so any thread count
-    // yields the serial loop's results.
+    // Each capture is a pure function of its scenario (and of an
+    // armed sim.crash clause, itself pure in content keys), so any
+    // thread count yields the serial loop's results.
     std::vector<Capture> out(batch.size());
     parallel_for(batch.size(), threads,
                  [&](std::size_t i) { out[i] = capture(batch[i]); });

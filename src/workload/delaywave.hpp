@@ -9,10 +9,8 @@
  * and baseline runs.
  *
  * A Scenario pins everything a capture reads — geometry, coupling,
- * noise, seed — and capture() is a pure function of it plus
- * the armed fault schedule: the injected delay magnitude comes from
- * an armed "bsp.inject" slow clause (the PR-5 injector, exactly the
- * methodology of the Afzal–Hager–Wellein experiments), and an armed
+ * noise, seed and the injected delays — and capture() is a pure
+ * function of it. The one outside input is chaos: an armed
  * "sim.crash" clause may deterministically crash nodes mid-run, whose
  * ranks are then marked absent rather than failing the capture.
  * Because captures share no mutable state, capture_sweep() fans a
@@ -48,7 +46,7 @@ struct Scenario {
     /** Lognormal sigma of per-iteration execution noise. */
     double noise_sigma = 0.0;
     std::uint64_t seed = 42;
-    /** One-off delay targets ("bsp.inject" probes); empty = baseline. */
+    /** One-off delays (rank, iteration, seconds); empty = baseline. */
     std::vector<BspInjection> injections;
 };
 
@@ -66,6 +64,10 @@ struct Capture {
     /** Ranks lost to injected node crashes (marked absent). */
     int crashed_ranks = 0;
 };
+
+/** ConfigError unless @p s is a runnable capture, its injections
+ *  included; capture() runs this check first. */
+void validate(const Scenario& s);
 
 /** Run one scenario to completion (or crash-starvation) and return
  *  its timeline. */

@@ -90,6 +90,7 @@ put_app(std::string& out, const AppSpec& app)
     for (const auto& inj : app.bsp.injections) {
         put_int(out, inj.rank);
         put_int(out, inj.iter);
+        put_double(out, inj.delay);
     }
     put_int(out, app.pool.stages);
     put_int(out, app.pool.tasks_per_wave);

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 #include "workload/app.hpp"
 #include "workload/catalog.hpp"
@@ -124,6 +127,25 @@ TEST(BspAppDriver, SlowNodeDelaysWholeApp)
     EXPECT_GT(one, solo * 1.15);
     // One slowed node captures at least 95% of the full two-node hit.
     EXPECT_GT((one - solo) / (both - solo), 0.95);
+}
+
+TEST(BspAppDriver, RejectsBadInjection)
+{
+    // tiny_bsp() on two nodes x 2 procs: ranks 0..3, iterations 0..4.
+    const auto launch_with = [](BspInjection inj) {
+        AppSpec spec = tiny_bsp();
+        spec.bsp.injections = {inj};
+        sim::Simulation sim(cluster());
+        launch(sim, spec, opts_on({0, 1}));
+    };
+    EXPECT_NO_THROW(launch_with({3, 4, 0.1}));
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double delay : {0.0, -0.1, inf, std::nan("")})
+        EXPECT_THROW(launch_with({0, 0, delay}), ConfigError) << delay;
+    for (const int rank : {-1, 4})
+        EXPECT_THROW(launch_with({rank, 0, 0.1}), ConfigError) << rank;
+    for (const int iter : {-1, 5})
+        EXPECT_THROW(launch_with({0, iter, 0.1}), ConfigError) << iter;
 }
 
 TEST(TaskPoolAppDriver, AllTasksExecuted)

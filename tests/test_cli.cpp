@@ -13,10 +13,11 @@ using namespace imc;
 
 namespace {
 
-/** Every flag the parsing tests read. */
+/** Every value flag and switch the parsing tests read. */
 const std::vector<std::string> kFlags{
-    "seed",    "reps",  "eps",  "name",  "apps",     "missing",
-    "dry-run", "delta", "note", "empty", "pressures"};
+    "seed", "reps", "eps", "name", "apps", "missing", "delta", "note",
+    "pressures"};
+const std::vector<std::string> kSwitches{"dry-run"};
 
 std::vector<const char*>
 make_argv(std::initializer_list<const char*> args)
@@ -30,7 +31,8 @@ Cli
 make_cli(std::initializer_list<const char*> args)
 {
     const auto argv = make_argv(args);
-    return Cli(static_cast<int>(argv.size()), argv.data(), kFlags);
+    return Cli(static_cast<int>(argv.size()), argv.data(), kFlags,
+               kSwitches);
 }
 
 /** The ConfigError message make_cli(@p args) throws. */
@@ -166,11 +168,50 @@ TEST(Cli, EqualsFormBindsInline)
 TEST(Cli, EqualsFormAllowsFlagLikeValue)
 {
     // "--flag value" refuses to consume a following "--…" token, but
-    // the inline form can carry any value, including empty.
-    const Cli cli = make_cli({"--note=--dashes--", "--empty="});
+    // the inline form can carry any non-empty value.
+    const Cli cli = make_cli({"--note=--dashes--", "--name=a=b"});
     EXPECT_EQ(cli.get("note", ""), "--dashes--");
-    EXPECT_TRUE(cli.has("empty"));
-    EXPECT_EQ(cli.get("empty", "def"), "");
+    EXPECT_EQ(cli.get("name", ""), "a=b");
+}
+
+// Regression: a value flag given bare ("--reps", "--reps=") used to
+// read as absent and run with its default.
+TEST(Cli, ValueFlagWithoutValueThrowsNamingIt)
+{
+    for (const std::string& message :
+         {parse_error({"--reps"}), parse_error({"--reps", "--seed", "1"}),
+          parse_error({"--reps="}), parse_error({"--reps", ""})})
+        EXPECT_EQ(message.rfind("flag '--reps' needs a value\nusage: prog", 0),
+                  0u)
+            << message;
+}
+
+// Regression: the argument after a bare switch was bound as the
+// switch's value, so "--dry-run extra" passed a positional argument.
+TEST(Cli, SwitchNeverTakesAValue)
+{
+    EXPECT_NE(parse_error({"--dry-run", "extra"})
+                  .find("unexpected argument 'extra'"),
+              std::string::npos);
+    EXPECT_NE(parse_error({"--dry-run=1"})
+                  .find("switch '--dry-run' takes no value\n"),
+              std::string::npos);
+    const Cli cli = make_cli({"--dry-run", "--reps", "2"});
+    EXPECT_TRUE(cli.has("dry-run"));
+    EXPECT_EQ(cli.get_int("reps", 1), 2);
+    EXPECT_THROW(cli.get("dry-run", ""), LogicBug);
+}
+
+TEST(Cli, UsageListsValueFlagsThenSwitches)
+{
+    const std::vector<const char*> argv{"prog", "--x"};
+    try {
+        const Cli cli(2, argv.data(), {"apps"}, {"fast"});
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "unknown flag '--x'\nusage: prog [--apps] [--fast]");
+    }
 }
 
 // Regression: "a,,b" and trailing commas used to emit empty tokens,
@@ -315,6 +356,6 @@ TEST(ToolMain, ParseErrorPrintsUsageAndSkipsTheBody)
     EXPECT_EQ(status, 2);
     EXPECT_FALSE(ran);
     EXPECT_EQ(err, "prog: unknown flag '--help'\n"
-                   "usage: prog [--reps] [--metrics] [--metrics-out] "
-                   "[--trace-out] [--fault-seed] [--fault-spec]\n");
+                   "usage: prog [--reps] [--metrics-out] [--trace-out] "
+                   "[--fault-seed] [--fault-spec] [--metrics]\n");
 }

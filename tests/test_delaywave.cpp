@@ -10,9 +10,10 @@
  * DESIGN.md §11 (speed within 10 % of the analytic pace, decay length
  * within a factor 2 of the mean-field prediction).
  *
- * Own binary: the injector is driven through the process-global fault
- * engine (armed "bsp.inject" slow clauses), and the CI chaos and TSan
- * jobs pick the suite up via the Delaywave. prefix.
+ * Every injected delay is part of its scenario; the physics tests arm
+ * no fault schedule. Own binary: one test arms the process-global
+ * fault engine to show a schedule leaves a capture untouched, and the
+ * CI chaos and TSan jobs pick the suite up via the Delaywave. prefix.
  */
 
 #include <gtest/gtest.h>
@@ -43,47 +44,38 @@ struct ArmGuard {
     ~ArmGuard() { fault::disarm(); }
 };
 
-/** Spec string arming a certain one-off delay of @p delay seconds. */
-std::string
-inject_spec(double delay)
-{
-    return "bsp.inject:slow:1:" +
-           std::to_string(static_cast<int>(delay * 1000.0));
-}
-
 /** Capture the scenario twice — without and with its injections —
- *  and extract the wave. The baseline shares the seed, so both runs
- *  draw bit-identical noise. */
+ *  and extract the wave of its first injection. The baseline shares
+ *  the seed, so both runs draw bit-identical noise. */
 wave::Observed
-observe(const delaywave::Scenario& s, double delay)
+observe(const delaywave::Scenario& s)
 {
     delaywave::Scenario base = s;
     base.injections.clear();
     const auto baseline = delaywave::capture(base);
-    const ArmGuard guard(1, inject_spec(delay));
     const auto injected = delaywave::capture(s);
+    const BspInjection& inj = s.injections.front();
     return wave::extract_fronts(injected.timeline, baseline.timeline,
-                                s.injections.front().rank,
-                                s.injections.front().iter,
-                                0.5 * delay);
+                                inj.rank, inj.iter, 0.5 * inj.delay);
 }
 
 /** Pooled wave fit over @p seeds reruns of the same scenario. */
 wave::Fit
-pooled_fit(const delaywave::Scenario& proto, double delay, int seeds)
+pooled_fit(const delaywave::Scenario& proto, int seeds)
 {
     std::vector<wave::Observed> runs;
     for (int i = 0; i < seeds; ++i) {
         delaywave::Scenario s = proto;
         s.seed = proto.seed + static_cast<std::uint64_t>(i);
-        runs.push_back(observe(s, delay));
+        runs.push_back(observe(s));
     }
     return wave::fit_waves(runs);
 }
 
-/** A silent 16-rank chain with a mid-chain injection at iteration 4. */
+/** A silent 16-rank chain with a mid-chain injection of @p delay
+ *  seconds at iteration 4. */
 delaywave::Scenario
-silent_chain()
+silent_chain(double delay = 0.3)
 {
     delaywave::Scenario s;
     s.nodes = 4;
@@ -94,11 +86,12 @@ silent_chain()
     s.period = 1;
     s.halo = 1;
     s.noise_sigma = 0.0;
-    s.injections = {BspInjection{8, 4}};
+    s.injections = {BspInjection{8, 4, delay}};
     return s;
 }
 
-/** A noisy 96-rank chain, long enough to resolve decay lengths. */
+/** A noisy 96-rank chain, long enough to resolve decay lengths, with
+ *  a 0.4 s mid-chain injection. */
 delaywave::Scenario
 noisy_chain(double sigma)
 {
@@ -112,7 +105,7 @@ noisy_chain(double sigma)
     s.halo = 1;
     s.noise_sigma = sigma;
     s.seed = 100;
-    s.injections = {BspInjection{48, 4}};
+    s.injections = {BspInjection{48, 4, 0.4}};
     return s;
 }
 
@@ -125,8 +118,7 @@ TEST(Delaywave, SilentFrontAdvancesOneHopPerIteration)
     // distance d at iteration inject_iter + d - 1 — one process-hop
     // per iteration, starting at the injection iteration itself.
     const auto s = silent_chain();
-    const double delay = 0.3;
-    const auto obs = observe(s, delay);
+    const auto obs = observe(s);
     int reached = 0;
     for (const auto& f : obs.fronts) {
         if (f.dist < 1)
@@ -147,9 +139,9 @@ TEST(Delaywave, SilentSystemIsUndamped)
 {
     // Zero noise means zero slack anywhere: every rank, however far,
     // eventually idles for exactly the injected delay.
-    const auto s = silent_chain();
     const double delay = 0.3;
-    const auto obs = observe(s, delay);
+    const auto s = silent_chain(delay);
+    const auto obs = observe(s);
     for (const auto& f : obs.fronts) {
         if (f.dist < 1)
             continue;
@@ -165,11 +157,30 @@ TEST(Delaywave, SilentSystemIsUndamped)
     EXPECT_TRUE(std::isinf(pred.decay_length));
 }
 
+TEST(Delaywave, DelayArrivesExactlyWithNoScheduleArmed)
+{
+    // The delay is scenario data: no schedule carries it, and no
+    // whole-millisecond rounding cuts 0.5 ms to nothing or 333.7 ms
+    // to 333 ms on the way to the first hop.
+    ASSERT_FALSE(fault::armed());
+    for (const double delay : {0.0005, 0.3337}) {
+        int first_hops = 0;
+        for (const auto& f : observe(silent_chain(delay)).fronts) {
+            if (f.dist != 1)
+                continue;
+            ++first_hops;
+            EXPECT_NEAR(f.amplitude, delay, 1e-9)
+                << "delay " << delay << " rank " << f.rank;
+        }
+        EXPECT_EQ(first_hops, 2) << "delay " << delay;
+    }
+}
+
 TEST(Delaywave, SilentSpeedMatchesAnalyticExactly)
 {
-    const auto s = silent_chain();
     const double delay = 0.3;
-    const auto fit = wave::fit_wave(observe(s, delay));
+    const auto s = silent_chain(delay);
+    const auto fit = wave::fit_wave(observe(s));
     ASSERT_TRUE(fit.converged);
     const auto pred =
         wave::analytic(delaywave::analytic_model(s, delay));
@@ -187,28 +198,25 @@ TEST(Delaywave, CollectivePeriodSlowsIterationSpeed)
     // With a sync only every 3 iterations the wave still moves halo
     // ranks per *sync*, i.e. 1/3 rank per iteration; off-boundary
     // iterations release at compute end without waiting.
-    auto s = silent_chain();
+    const double delay = 0.3;
+    auto s = silent_chain(delay);
     s.period = 3;
     s.iterations = 60;
-    const double delay = 0.3;
 
     delaywave::Scenario base = s;
     base.injections.clear();
     const auto baseline = delaywave::capture(base);
-    {
-        const ArmGuard guard(1, inject_spec(delay));
-        const auto injected = delaywave::capture(s);
-        const auto obs = wave::extract_fronts(
-            injected.timeline, baseline.timeline, 8, 4, 0.5 * delay);
-        const auto fit = wave::fit_wave(obs);
-        ASSERT_TRUE(fit.converged);
-        EXPECT_NEAR(fit.ranks_per_iter, 1.0 / 3.0, 1e-9);
-        const auto pred =
-            wave::analytic(delaywave::analytic_model(s, delay));
-        EXPECT_NEAR(pred.period_seconds, 0.302, 1e-12);
-        EXPECT_NEAR(fit.ranks_per_sec, pred.ranks_per_sec,
-                    1e-9 * pred.ranks_per_sec);
-    }
+    const auto injected = delaywave::capture(s);
+    const auto obs = wave::extract_fronts(
+        injected.timeline, baseline.timeline, 8, 4, 0.5 * delay);
+    const auto fit = wave::fit_wave(obs);
+    ASSERT_TRUE(fit.converged);
+    EXPECT_NEAR(fit.ranks_per_iter, 1.0 / 3.0, 1e-9);
+    const auto pred = wave::analytic(delaywave::analytic_model(s, delay));
+    EXPECT_NEAR(pred.period_seconds, 0.302, 1e-12);
+    EXPECT_NEAR(fit.ranks_per_sec, pred.ranks_per_sec,
+                1e-9 * pred.ranks_per_sec);
+
     // Off-boundary iterations must not have waited: release ==
     // compute_end wherever (iter + 1) % period != 0.
     const auto& tl = baseline.timeline;
@@ -227,10 +235,10 @@ TEST(Delaywave, FullBarrierPropagatesInstantly)
     // halo = 0 couples every rank through one global barrier: the
     // whole cluster idles at the injection iteration's sync, so the
     // "wave" reaches every distance in the same iteration.
-    auto s = silent_chain();
-    s.halo = 0;
     const double delay = 0.3;
-    const auto obs = observe(s, delay);
+    auto s = silent_chain(delay);
+    s.halo = 0;
+    const auto obs = observe(s);
     for (const auto& f : obs.fronts) {
         if (f.dist < 1)
             continue;
@@ -254,13 +262,12 @@ TEST(Delaywave, CounterWavesCombineByMaxNotSum)
     s.work = 0.1;
     s.sync_cost = 0.002;
     s.noise_sigma = 0.0;
-    s.injections = {BspInjection{8, 4}, BspInjection{24, 4}};
     const double delay = 0.3;
+    s.injections = {BspInjection{8, 4, delay}, BspInjection{24, 4, delay}};
 
     delaywave::Scenario base = s;
     base.injections.clear();
     const auto baseline = delaywave::capture(base);
-    const ArmGuard guard(1, inject_spec(delay));
     const auto injected = delaywave::capture(s);
 
     const auto waits =
@@ -288,8 +295,8 @@ TEST(Delaywave, NoiseDampsWaveMonotonically)
     // sigma grows, and stay within the documented factor 2 of the
     // mean-field prediction.
     const double delay = 0.4;
-    const auto weak = pooled_fit(noisy_chain(0.1), delay, 3);
-    const auto strong = pooled_fit(noisy_chain(0.3), delay, 3);
+    const auto weak = pooled_fit(noisy_chain(0.1), 3);
+    const auto strong = pooled_fit(noisy_chain(0.3), 3);
     ASSERT_TRUE(weak.converged);
     ASSERT_TRUE(strong.converged);
     ASSERT_TRUE(std::isfinite(weak.decay_length));
@@ -313,7 +320,7 @@ TEST(Delaywave, NoisySpeedMatchesAnalyticPace)
     // The noisy wave still hops one rank per sync; the pace slows to
     // E[max of the neighborhood's period sums] + sync_cost.
     const double delay = 0.4;
-    const auto fit = pooled_fit(noisy_chain(0.1), delay, 3);
+    const auto fit = pooled_fit(noisy_chain(0.1), 3);
     ASSERT_TRUE(fit.converged);
     EXPECT_NEAR(fit.ranks_per_iter, 1.0, 0.03);
     const auto pred = wave::analytic(
@@ -335,7 +342,6 @@ TEST(Delaywave, TimelineBytesIdenticalAcrossEngines)
     for (const auto& [sigma, digest] : recorded) {
         auto s = silent_chain();
         s.noise_sigma = sigma;
-        const ArmGuard guard(1, inject_spec(0.3));
         const std::string bytes =
             delaywave::capture(s).timeline.canonical_bytes();
         EXPECT_EQ(hash_string(bytes), digest) << "sigma " << sigma;
@@ -351,7 +357,6 @@ TEST(Delaywave, TimelineBytesIdenticalAcrossSweepThreads)
         s.seed = 40 + static_cast<std::uint64_t>(i);
         batch.push_back(s);
     }
-    const ArmGuard guard(1, inject_spec(0.3));
     const auto serial = delaywave::capture_sweep(batch, 1);
     for (const int threads : {4, 8}) {
         const auto parallel = delaywave::capture_sweep(batch, threads);
@@ -370,7 +375,6 @@ TEST(Delaywave, ArmedButEmptyScheduleLeavesTimelineUntouched)
     // not a shared stream, so the run is bit-identical to unarmed.
     auto s = silent_chain();
     s.noise_sigma = 0.15;
-    s.injections.clear();
     const auto unarmed = delaywave::capture(s);
     {
         const ArmGuard guard(9, "");
@@ -399,6 +403,14 @@ TEST(Delaywave, RejectsBadScenario)
     s = silent_chain();
     s.period = 0;
     EXPECT_THROW(delaywave::capture(s), ConfigError);
+    // validate() is capture()'s own check, injections included.
+    s = silent_chain(0.0);
+    EXPECT_THROW(delaywave::validate(s), ConfigError);
+    EXPECT_THROW(delaywave::capture(s), ConfigError);
+    s = silent_chain();
+    s.injections.front().rank = delaywave::ranks(s);
+    EXPECT_THROW(delaywave::validate(s), ConfigError);
+    EXPECT_NO_THROW(delaywave::validate(silent_chain()));
 
     // A sweep reports the first bad scenario's error at every thread
     // count, as the serial loop does, instead of terminating.

@@ -873,10 +873,11 @@ TEST(FaultChaos, EmptyScheduleLeavesCampaignIdenticalToUnfaulted)
 
 TEST(FaultDelaywave, CrashedNodesDegradeToAbsentRanksAndFitConverges)
 {
-    // The fig_delaywave scenario under a full chaos schedule: the
-    // injector clause drives the wave, a crash clause takes one node
-    // down mid-run (seed 1 -> exactly one of 24), and an inert
-    // run.exec clause rides along. The capture must degrade
+    // The fig_delaywave scenario under a chaos schedule: the
+    // scenario's own 0.4 s injection drives the wave, a crash clause
+    // takes one node down mid-run (seed 1 -> exactly one of 24), and
+    // an inert run.exec clause leads the spec, keeping sim.crash at
+    // clause index 1, which its rolls hash. The capture must degrade
     // gracefully — crashed ranks marked absent, survivors starved at
     // their next sync rather than wedged — and the wave fit must
     // still converge on the surviving contiguous ranks.
@@ -885,12 +886,11 @@ TEST(FaultDelaywave, CrashedNodesDegradeToAbsentRanksAndFitConverges)
     s.procs_per_node = 4;
     s.iterations = 120;
     s.noise_sigma = 0.0;
-    s.injections = {workload::BspInjection{48, 4}};
+    s.injections = {workload::BspInjection{48, 4, 0.4}};
     workload::delaywave::Scenario base = s;
     base.injections.clear();
 
-    const std::string spec =
-        "bsp.inject:slow:1:400,sim.crash:crash:0.15,run.exec:fail:0.2";
+    const std::string spec = "run.exec:fail:0.2,sim.crash:crash:0.15";
     const auto run = [&](const workload::delaywave::Scenario& sc) {
         const ArmGuard guard(1, spec);
         return workload::delaywave::capture(sc);
@@ -925,8 +925,9 @@ TEST(FaultDelaywave, CrashingCaptureIsDeterministic)
     s.procs_per_node = 4;
     s.iterations = 120;
     s.noise_sigma = 0.1;
-    s.injections = {workload::BspInjection{48, 4}};
-    const std::string spec = "bsp.inject:slow:1:400,sim.crash:crash:0.15";
+    s.injections = {workload::BspInjection{48, 4, 0.4}};
+    // run.exec leads so sim.crash keeps clause index 1 (see above).
+    const std::string spec = "run.exec:fail:0.2,sim.crash:crash:0.15";
     const auto once = [&] {
         const ArmGuard guard(1, spec);
         return workload::delaywave::capture(s);
@@ -936,4 +937,23 @@ TEST(FaultDelaywave, CrashingCaptureIsDeterministic)
     EXPECT_GT(a.crashed_ranks, 0);
     EXPECT_EQ(a.crashed_ranks, b.crashed_ranks);
     EXPECT_EQ(a.timeline.canonical_bytes(), b.timeline.canonical_bytes());
+}
+
+TEST(FaultDelaywave, RankReleasedAfterItsNodeCrashedStops)
+{
+    // EXPERIMENTS.md's chaos recipe: seed 1 crashes 6 of the 24 nodes
+    // mid-run, node 6 (ranks 24-27) among them. With rank 24 delayed,
+    // a neighbor sync still releases ranks of the crashed node; each
+    // must stop instead of reading its dead tenant, which used to end
+    // the run with "tenant removed".
+    workload::delaywave::Scenario s;
+    s.nodes = 24;
+    s.procs_per_node = 4;
+    s.iterations = 120;
+    s.injections = {workload::BspInjection{24, 4, 0.3}};
+    const ArmGuard guard(1, "sim.crash:crash:0.15");
+    workload::delaywave::Capture cap;
+    ASSERT_NO_THROW(cap = workload::delaywave::capture(s));
+    EXPECT_EQ(cap.crashed_ranks, 24);
+    EXPECT_FALSE(cap.finished);
 }

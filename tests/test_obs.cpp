@@ -194,7 +194,7 @@ make_cli(std::initializer_list<const char*> args)
     std::vector<const char*> argv{"prog"};
     argv.insert(argv.end(), args.begin(), args.end());
     return Cli(static_cast<int>(argv.size()), argv.data(),
-               {"metrics", "metrics-out", "trace-out", "seed"});
+               {"metrics-out", "trace-out", "seed"}, {"metrics"});
 }
 
 /** Every test starts and ends with a clean, disabled registry. */

@@ -131,6 +131,12 @@ TEST(CanonicalKey, DistinguishesEveryInput)
     auto corun = corun_time_request(zeus, nodes,
                                     {Deployment{km, nodes}}, cfg);
     EXPECT_NE(canonical_key(base), canonical_key(corun));
+
+    auto short_delay = base;
+    short_delay.app.bsp.injections = {BspInjection{0, 1, 0.3}};
+    auto long_delay = short_delay;
+    long_delay.app.bsp.injections.front().delay = 0.6;
+    EXPECT_NE(canonical_key(short_delay), canonical_key(long_delay));
 }
 
 TEST(RunService, MatchesDirectExecutionAtAnyThreadCount)

@@ -85,6 +85,18 @@ TEST(Serialize, FileRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(Serialize, FileWriteErrorNamesTheDestination)
+{
+    const std::string path = "/nonexistent_imc_dir/m.model";
+    try {
+        save_model_file(path, sample_model());
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "save_model_file: cannot write '" + path + "'");
+    }
+}
+
 TEST(Serialize, BadMagicRejected)
 {
     std::stringstream buffer("imc-model v9\napp x\n");
