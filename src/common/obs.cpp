@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -395,7 +396,8 @@ reset()
 Session::Session(const Cli& cli)
     : metrics_stdout_(cli.has("metrics")),
       metrics_path_(cli.get("metrics-out", "")),
-      trace_path_(cli.get("trace-out", ""))
+      trace_path_(cli.get("trace-out", "")),
+      uncaught_(std::uncaught_exceptions())
 {
     if (metrics_stdout_ || !metrics_path_.empty() ||
         !trace_path_.empty())
@@ -408,7 +410,8 @@ Session::~Session()
         trace_path_.empty())
         return;
     // Exports happen at scope exit so the dump covers the whole run.
-    if (metrics_stdout_) {
+    const bool unwinding = std::uncaught_exceptions() > uncaught_;
+    if (metrics_stdout_ && !unwinding) {
         std::cout << '\n';
         write_metrics_text(std::cout);
     }

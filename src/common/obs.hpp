@@ -222,7 +222,9 @@ void reset();
  * scope exit), --metrics-out FILE (write the dump to FILE; JSON when
  * FILE ends in ".json"), or --trace-out FILE (write the Chrome-trace
  * JSON to FILE) is present; the destructor performs the requested
- * exports. With none of the flags the whole object is inert.
+ * exports. With none of the flags the whole object is inert. A scope
+ * left by an exception prints nothing on stdout, so a tool that
+ * fails keeps stdout empty; the file exports still happen.
  */
 class Session {
   public:
@@ -236,6 +238,8 @@ class Session {
     bool metrics_stdout_ = false;
     std::string metrics_path_;
     std::string trace_path_;
+    /** std::uncaught_exceptions() at construction. */
+    int uncaught_ = 0;
 };
 
 #else // IMC_OBS_DISABLED: compile every entry point to nothing.

@@ -62,7 +62,25 @@ LatencyRecorder::add(double x)
     }
     ++n_;
     sum_ += x;
-    ++buckets_[bucket_of(x)];
+    if (count_of(bucket_of(x))++ == 0)
+        ++occupied_;
+}
+
+std::uint64_t&
+LatencyRecorder::count_of(int bucket)
+{
+    if (counts_.empty()) {
+        first_ = bucket;
+        counts_.push_back(0);
+    } else if (bucket < first_) {
+        counts_.insert(counts_.begin(),
+                       static_cast<std::size_t>(first_ - bucket), 0);
+        first_ = bucket;
+    } else if (static_cast<std::size_t>(bucket - first_) >=
+               counts_.size()) {
+        counts_.resize(static_cast<std::size_t>(bucket - first_) + 1, 0);
+    }
+    return counts_[static_cast<std::size_t>(bucket - first_)];
 }
 
 void
@@ -79,8 +97,16 @@ LatencyRecorder::merge(const LatencyRecorder& other)
     }
     n_ += other.n_;
     sum_ += other.sum_;
-    for (const auto& [idx, c] : other.buckets_)
-        buckets_[idx] += c;
+    // Ascending, so the array grows at its front at most once.
+    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+        const std::uint64_t c = other.counts_[i];
+        if (c == 0)
+            continue;
+        std::uint64_t& mine = count_of(other.first_ + static_cast<int>(i));
+        if (mine == 0)
+            ++occupied_;
+        mine += c;
+    }
 }
 
 double
@@ -103,7 +129,11 @@ LatencyRecorder::quantile(double q) const
         return max_;
     const double rank = q / 100.0 * static_cast<double>(n_ - 1);
     std::uint64_t before = 0;
-    for (const auto& [idx, c] : buckets_) {
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+        const std::uint64_t c = counts_[i];
+        if (c == 0)
+            continue;
+        const int idx = first_ + static_cast<int>(i);
         if (rank < static_cast<double>(before + c)) {
             const double lo = std::exp2(static_cast<double>(idx) / 8.0);
             const double hi =

@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace imc {
@@ -71,9 +70,14 @@ class OnlineStats {
  * p99 is about 4.36 here and 58.88 from percentile().
  * The recorder is a pure function of the sample *multiset*: two
  * recorders fed the same samples in any order hold identical bucket
- * tables, and buckets are walked in sorted key order, so quantile
+ * tables, and buckets are walked in ascending order, so quantile
  * reports are deterministic and merge() is order-independent. (The
  * exact `sum()` is the one order-sensitive field, to float rounding.)
+ *
+ * The table is a flat count array indexed by bucket minus the lowest
+ * bucket seen, grown to span the lowest to the highest: an add() is
+ * an index and an increment, with no allocation once the range is
+ * covered. A few hundred buckets span every latency a run produces.
  *
  * This is the p50/p95/p99 reporter behind ServiceApp: recorders
  * stream millions of request latencies without retaining samples,
@@ -114,12 +118,17 @@ class LatencyRecorder {
     double quantile(double q) const;
 
     /** Number of distinct occupied buckets (memory footprint probe). */
-    std::size_t buckets() const { return buckets_.size(); }
+    std::size_t buckets() const { return occupied_; }
 
   private:
     static int bucket_of(double x);
 
-    std::map<int, std::uint64_t> buckets_;
+    /** The count of @p bucket, growing the array to cover it. */
+    std::uint64_t& count_of(int bucket);
+
+    std::vector<std::uint64_t> counts_; // counts_[i]: bucket first_ + i
+    int first_ = 0;
+    std::size_t occupied_ = 0; // nonzero entries of counts_
     std::uint64_t n_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;

@@ -26,6 +26,9 @@ RunningApp::RunningApp(sim::Simulation& sim, AppSpec spec,
     }
     total_procs_ =
         static_cast<int>(opts_.nodes.size()) * opts_.procs_per_node;
+    noise_sigma_ = std::sqrt(
+        spec_.noise_sigma * spec_.noise_sigma +
+        opts_.extra_noise_sigma * opts_.extra_noise_sigma);
 }
 
 double
@@ -33,13 +36,6 @@ RunningApp::finish_time() const
 {
     invariant(done_, "finish_time: app not done yet");
     return finish_time_;
-}
-
-double
-RunningApp::noise_sigma() const
-{
-    return std::sqrt(spec_.noise_sigma * spec_.noise_sigma +
-                     opts_.extra_noise_sigma * opts_.extra_noise_sigma);
 }
 
 double

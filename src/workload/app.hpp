@@ -110,8 +110,8 @@ class RunningApp {
   protected:
     RunningApp(sim::Simulation& sim, AppSpec spec, LaunchOptions opts);
 
-    /** Combined per-segment noise sigma. */
-    double noise_sigma() const;
+    /** Combined per-segment noise sigma, fixed at launch. */
+    double noise_sigma() const { return noise_sigma_; }
 
     /**
      * Dom0 co-tenancy factor for the tenant at @p node_idx: the
@@ -136,6 +136,7 @@ class RunningApp {
     LaunchOptions opts_;
     std::vector<sim::TenantId> tenants_;
     int total_procs_ = 0;
+    double noise_sigma_ = 0.0;
     int finished_procs_ = 0;
     double finish_metric_sum_ = 0.0;
     bool done_ = false;

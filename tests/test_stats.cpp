@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hpp"
@@ -245,6 +247,117 @@ TEST(LatencyRecorder, MergeIsOrderIndependent)
         EXPECT_DOUBLE_EQ(ab.quantile(q), ba.quantile(q)) << q;
         EXPECT_DOUBLE_EQ(ab.quantile(q), whole.quantile(q)) << q;
     }
+}
+
+// Recorded answers: every exact field, buckets() and six quantiles of
+// recorders that cross the 1e-12 floor bucket and merge ranges that
+// lie wholly below or above the receiver's, as hexfloats taken from
+// the ordered-map bucket table the flat array replaced.
+namespace {
+
+constexpr double kPinnedQs[] = {1.0, 10.0, 50.0, 90.0, 99.0, 99.9};
+
+struct RecorderPin {
+    std::uint64_t count;
+    std::size_t buckets;
+    double min;
+    double max;
+    double sum;
+    double quantiles[std::size(kPinnedQs)];
+};
+
+void
+expect_pinned(const LatencyRecorder& r, const RecorderPin& pin)
+{
+    EXPECT_EQ(r.count(), pin.count);
+    EXPECT_EQ(r.buckets(), pin.buckets);
+    EXPECT_EQ(r.min(), pin.min);
+    EXPECT_EQ(r.max(), pin.max);
+    EXPECT_EQ(r.sum(), pin.sum);
+    for (std::size_t i = 0; i < std::size(kPinnedQs); ++i)
+        EXPECT_EQ(r.quantile(kPinnedQs[i]), pin.quantiles[i])
+            << "q=" << kPinnedQs[i];
+}
+
+/** 200 lognormal samples around 5 ms: the merge receiver. */
+LatencyRecorder
+mid_range()
+{
+    LatencyRecorder r;
+    imc::Rng rng(3);
+    for (int i = 0; i < 200; ++i)
+        r.add(0.005 * rng.lognormal_factor(0.4));
+    return r;
+}
+
+const RecorderPin kMidPin{
+    200, 22, 0x1.17454d9f085a9p-9, 0x1.c72b7b966b28dp-7,
+    0x1.016d2aea5de59p+0,
+    {0x1.1f8cdae5e4519p-9, 0x1.69bcfa50b4d8bp-9, 0x1.2c39d1293a626p-8,
+     0x1.0076a15b0961cp-7, 0x1.7a960e759a0bep-7, 0x1.a76d97e46bd5p-7}};
+
+} // namespace
+
+TEST(LatencyRecorder, PinnedQuantilesAcrossTheFloorBucket)
+{
+    // 0 through 1e-12 share the floor bucket; 2e-12 is the first
+    // sample above it.
+    LatencyRecorder r;
+    for (double x : {0.0, 1e-300, 1e-15, 5e-13, 9.99e-13, 1e-12, 2e-12,
+                     3e-9, 1e-3})
+        r.add(x);
+    expect_pinned(
+        r, {9, 4, 0.0, 0x1.0624dd2f1a9fcp-10, 0x1.062510cd08e4ep-10,
+            {0x1.1781c2756c37ap-40, 0x1.1a89f68fbc56dp-40,
+             0x1.2803c1af59537p-40, 0x1.91f3dba01116cp-29,
+             0x1.abae29c9ea6a6p-29, 0x1.ae40cb348026p-29}});
+}
+
+TEST(LatencyRecorder, PinnedMergeOfRangesWhollyBelowAndAbove)
+{
+    const LatencyRecorder mid = mid_range();
+    expect_pinned(mid, kMidPin);
+
+    LatencyRecorder low;
+    for (double x : {1e-7, 2e-7, 4.5e-7, 9e-7})
+        low.add(x);
+    LatencyRecorder below = mid;
+    below.merge(low);
+    expect_pinned(
+        below, {204, 26, 0x1.ad7f29abcaf48p-24, 0x1.c72b7b966b28dp-7,
+                0x1.016d469910152p+0,
+                {0x1.d6c7e846ef931p-22, 0x1.5eebc70bdcc5p-9,
+                 0x1.28db5e6153234p-8, 0x1.fe2dc7e7fd034p-8,
+                 0x1.79ee49b46d70dp-7, 0x1.a74900b3d54bp-7}});
+
+    LatencyRecorder high;
+    for (double x : {12.0, 30.0, 75.5, 99.0})
+        high.add(x);
+    LatencyRecorder above = mid;
+    above.merge(high);
+    expect_pinned(
+        above, {204, 26, 0x1.17454d9f085a9p-9, 0x1.8cp+6,
+                0x1.b302da55d4bbdp+7,
+                {0x1.1fb7fa3cafe18p-9, 0x1.6b447752275fep-9,
+                 0x1.2f9843f121a18p-8, 0x1.112552285b21p-7,
+                 0x1.89d2ad00e724dp+3, 0x1.2b4eccc364f8fp+6}});
+}
+
+TEST(LatencyRecorder, PinnedEmptyMerges)
+{
+    LatencyRecorder with_empty = mid_range();
+    with_empty.merge(LatencyRecorder{});
+    expect_pinned(with_empty, kMidPin);
+
+    LatencyRecorder into_empty;
+    into_empty.merge(mid_range());
+    expect_pinned(into_empty, kMidPin);
+
+    LatencyRecorder both_empty;
+    both_empty.merge(LatencyRecorder{});
+    EXPECT_EQ(both_empty.count(), 0u);
+    EXPECT_EQ(both_empty.buckets(), 0u);
+    EXPECT_EQ(both_empty.sum(), 0.0);
 }
 
 // Property: Welford matches the two-pass formula on random data.
