@@ -500,6 +500,10 @@ namespace {
 
 /** One generated trace shape and its recorded replay answers. */
 struct ReplayPin {
+    int num_nodes;
+    int slots_per_node;
+    int max_units;
+    int candidate_nodes;
     double arrival_rate;
     double crash_rate;
     std::uint64_t events;
@@ -508,6 +512,7 @@ struct ReplayPin {
     int rejected;
     int evictions;
     int crashes;
+    int joins;
     int moved_units;
     int final_apps;
     double final_total_time;
@@ -525,29 +530,37 @@ TEST(SchedReplay, ReplayIsDeterministic)
     // admission, eviction, repair or polish decision, or to the oracle
     // anneal, fails here. The light shape never evicts; the saturating
     // one rejects, evicts, and crashes nodes of a full cluster (one of
-    // its crash repairs has to drop a displaced app).
+    // its crash repairs has to drop a displaced app). Both rank fewer
+    // nodes than they have candidates, so the third shape ranks 24
+    // four-slot nodes with 3 candidates: more nodes have room than
+    // get scored, and it rejects, evicts, repairs and rejoins too.
     const std::vector<ReplayPin> pins = {
-        {0.08, 0.005, 38, 23, 23, 0, 0, 1, 1, 9, 0x1.9756fd5c0982dp+3,
-         0x1.9756fd5c0982dp+3,
+        {8, 2, 2, 16, 0.08, 0.005, 38, 23, 23, 0, 0, 1, 0, 1, 9,
+         0x1.9756fd5c0982dp+3, 0x1.9756fd5c0982dp+3,
          {{0x1.9756fd5c0982dp+3, 0x1.96dd30d11da6ep+3}}},
-        {0.4, 0.01, 190, 113, 47, 66, 20, 2, 3, 10, 0x1.9fa049ecc2eacp+3,
-         0x1.9fa049ecc2eacp+3,
+        {8, 2, 2, 16, 0.4, 0.01, 190, 113, 47, 66, 20, 2, 0, 3, 10,
+         0x1.9fa049ecc2eacp+3, 0x1.9fa049ecc2eacp+3,
          {{0x1.9fa049ecc2eacp+3, 0x1.9fa049ecc2eacp+3}}},
+        {24, 4, 3, 3, 0.6, 0.02, 294, 177, 141, 36, 14, 4, 2, 15, 47,
+         0x1.8fe13ea6dcbfcp+6, 0x1.8fe13ea6dcbfcp+6,
+         {{0x1.8fe13ea6dcbfcp+6, 0x1.8e385c8a1eb61p+6}}},
     };
     for (const ReplayPin& pin : pins) {
         SCOPED_TRACE("arrival_rate " + std::to_string(pin.arrival_rate));
         TraceGenOptions gopts;
-        gopts.num_nodes = 8;
+        gopts.num_nodes = pin.num_nodes;
+        gopts.slots_per_node = pin.slots_per_node;
         gopts.duration = 300.0;
         gopts.arrival_rate = pin.arrival_rate;
         gopts.mean_lifetime = 100.0;
-        gopts.max_units = 2;
+        gopts.max_units = pin.max_units;
         gopts.crash_rate = pin.crash_rate;
         gopts.seed = 17;
         gopts.apps = small_pool();
         const Trace trace = generate_trace(gopts);
 
         ReplayOptions ropts;
+        ropts.sched.candidate_nodes = pin.candidate_nodes;
         ropts.oracle_iterations = 500;
         ReplayResult first;
         obs::reset();
@@ -578,6 +591,7 @@ TEST(SchedReplay, ReplayIsDeterministic)
             EXPECT_EQ(r.rejected, pin.rejected);
             EXPECT_EQ(r.evictions, pin.evictions);
             EXPECT_EQ(r.crashes, pin.crashes);
+            EXPECT_EQ(r.joins, pin.joins);
             EXPECT_EQ(r.moved_units, pin.moved_units);
             EXPECT_EQ(r.final_apps, pin.final_apps);
             EXPECT_EQ(r.final_total_time, pin.final_total_time);
