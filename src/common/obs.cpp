@@ -232,11 +232,11 @@ trace_counter(const std::string& name, double value)
     push_event(std::move(event));
 }
 
-Span::Span(std::string name)
+Span::Span(std::string_view name)
 {
     if (!enabled())
         return;
-    name_ = std::move(name);
+    name_ = name;
     start_us_ = now_us();
     active_ = true;
 }

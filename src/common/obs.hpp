@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -169,11 +170,12 @@ void trace_counter(const std::string& name, double value);
  * stamps a start time and destruction records a Chrome-trace
  * complete event (ph "X") on this thread's track plus a "<name>.us"
  * histogram sample. When disabled, construction is a relaxed load
- * and destruction a branch.
+ * and destruction a branch: the name is copied only while enabled,
+ * so a disabled span allocates nothing, whatever its length.
  */
 class Span {
   public:
-    explicit Span(std::string name);
+    explicit Span(std::string_view name);
     ~Span();
 
     Span(const Span&) = delete;
@@ -254,7 +256,7 @@ inline void trace_counter(const std::string&, double) {}
 
 class Span {
   public:
-    explicit Span(const std::string&) {}
+    explicit Span(std::string_view) {}
 };
 
 inline std::uint64_t counter_value(const std::string&) { return 0; }

@@ -360,24 +360,13 @@ DeltaScorer::last_old_times() const
 }
 
 double
-DeltaScorer::newcomer_pressure(sim::NodeId node) const
+DeltaScorer::newcomer_pressure(sim::NodeId node)
 {
     invariant(incremental_,
               "DeltaScorer::newcomer_pressure: incremental mode only");
-    const auto& tenants =
-        node_tenants_.at(static_cast<std::size_t>(node));
-    // The same fast paths as pressure_at(), without a buffer.
-    if (tenants.empty())
-        return 0.0;
-    if (tenants.size() == 1) {
-        const double only = scores_[static_cast<std::size_t>(tenants[0])];
-        return only > 0.0 ? only : 0.0;
-    }
-    std::vector<double> buf;
-    buf.reserve(tenants.size());
-    for (int t : tenants)
-        buf.push_back(scores_[static_cast<std::size_t>(t)]);
-    return bubble::combine_pressures(buf);
+    require(node >= 0 && node < placement_.num_nodes(),
+            "DeltaScorer::newcomer_pressure: node out of range");
+    return pressure_at(-1, node); // no instance has index -1
 }
 
 } // namespace imc::placement

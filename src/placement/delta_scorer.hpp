@@ -126,10 +126,11 @@ class DeltaScorer {
 
     /**
      * Combined interference pressure a *newcomer* would see on
-     * @p node (combine of every current tenant's bubble score).
+     * @p node (combine of every current tenant's bubble score, in
+     * ascending instance order). Reuses the scorer's scratch buffer.
      * @pre incremental()
      */
-    double newcomer_pressure(sim::NodeId node) const;
+    double newcomer_pressure(sim::NodeId node);
 
     /**
      * Current pressure list of @p instance, aligned with
@@ -151,7 +152,10 @@ class DeltaScorer {
     void relocate(const UnitSwap& change, sim::NodeId node_a,
                   sim::NodeId node_b);
 
-    /** Combined co-tenant pressure instance @p i sees on @p node. */
+    /**
+     * Combined co-tenant pressure instance @p i sees on @p node; an
+     * @p i that is not a tenant there sees every tenant.
+     */
     double pressure_at(int i, sim::NodeId node);
 
     /** Rebuild pressures_[i] and times_[i] from node_tenants_. */

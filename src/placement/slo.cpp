@@ -1,5 +1,6 @@
 #include "placement/slo.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -79,19 +80,18 @@ slo_violations(const std::vector<double>& times,
 
 double
 objective_magnitude(const std::vector<double>& times,
-                    const std::vector<Instance>& instances,
+                    const std::vector<int>& units,
                     const std::vector<double>& slo, double penalty)
 {
-    require(times.size() == instances.size() &&
-                slo.size() == times.size(),
-            "objective_magnitude: times/instances/slo must be "
+    require(times.size() == units.size() && slo.size() == times.size(),
+            "objective_magnitude: times/units/slo must be "
             "index-aligned");
     const double abs_penalty = std::fabs(penalty);
     double sum = 0.0;
     for (std::size_t i = 0; i < times.size(); ++i) {
-        const int units = instances[i].units;
-        sum += std::fabs(time_term(times[i], units)) +
-               abs_penalty * std::fabs(debt_term(times[i], units, slo[i]));
+        sum += std::fabs(time_term(times[i], units[i])) +
+               abs_penalty *
+                   std::fabs(debt_term(times[i], units[i], slo[i]));
     }
     // Round up past this sum's own relative error (at most
     // gamma_(n+1): n - 1 additions after each term's two roundings)
@@ -134,12 +134,12 @@ ChangeVerdict
 filter_change(const std::vector<int>& changed,
               const std::vector<double>& old_times,
               const std::vector<double>& times,
-              const std::vector<Instance>& instances,
+              const std::vector<int>& units,
               const std::vector<double>& slo, double penalty,
               double magnitude)
 {
     require(old_times.size() == changed.size() &&
-                times.size() == instances.size() &&
+                times.size() == units.size() &&
                 slo.size() == times.size(),
             "filter_change: inputs must be index-aligned");
     const double abs_penalty = std::fabs(penalty);
@@ -150,11 +150,11 @@ filter_change(const std::vector<int>& changed,
     double touched = 0.0;    // sum_A (|x| + |x'| + |p| (|y| + |y'|))
     for (std::size_t k = 0; k < changed.size(); ++k) {
         const auto i = static_cast<std::size_t>(changed[k]);
-        const int units = instances.at(i).units;
-        const double x0 = time_term(old_times[k], units);
-        const double x1 = time_term(times[i], units);
-        const double y0 = debt_term(old_times[k], units, slo[i]);
-        const double y1 = debt_term(times[i], units, slo[i]);
+        const int u = units.at(i);
+        const double x0 = time_term(old_times[k], u);
+        const double x1 = time_term(times[i], u);
+        const double y0 = debt_term(old_times[k], u, slo[i]);
+        const double y1 = debt_term(times[i], u, slo[i]);
         unchanged = unchanged && same_bits(x0, x1) && same_bits(y0, y1);
         delta_time += x1 - x0;
         delta_debt += y1 - y0;
@@ -188,16 +188,45 @@ bool
 full_change_lower(const std::vector<int>& changed,
                   const std::vector<double>& old_times,
                   const std::vector<double>& times,
-                  const std::vector<Instance>& instances,
+                  const std::vector<int>& units,
                   const std::vector<double>& slo, double penalty)
 {
-    require(old_times.size() == changed.size(),
-            "full_change_lower: old_times must align with changed");
-    std::vector<double> before = times;
-    for (std::size_t k = 0; k < changed.size(); ++k)
-        before.at(static_cast<std::size_t>(changed[k])) = old_times[k];
-    return tail_objective(times, instances, slo, penalty) <
-           tail_objective(before, instances, slo, penalty);
+    require(old_times.size() == changed.size() &&
+                times.size() == units.size() &&
+                slo.size() == times.size(),
+            "full_change_lower: inputs must be index-aligned");
+    // tail_objective() sums the time terms and the debt terms left to
+    // right, each from +0. Before the first changed instance both
+    // states have the same terms, so one prefix serves both; from
+    // there each state's two sums take its own terms in index order,
+    // which is the same sequence of additions tail_objective() makes.
+    const std::size_t first =
+        changed.empty()
+            ? times.size()
+            : std::min(static_cast<std::size_t>(changed[0]), times.size());
+    double total = 0.0;
+    double debt = 0.0;
+    for (std::size_t i = 0; i < first; ++i) {
+        total += time_term(times[i], units[i]);
+        debt += debt_term(times[i], units[i], slo[i]);
+    }
+    double total_before = total;
+    double debt_before = debt;
+    std::size_t k = 0;
+    for (std::size_t i = first; i < times.size(); ++i) {
+        double before = times[i];
+        if (k < changed.size() &&
+            static_cast<std::size_t>(changed[k]) == i)
+            before = old_times[k++];
+        total += time_term(times[i], units[i]);
+        debt += debt_term(times[i], units[i], slo[i]);
+        total_before += time_term(before, units[i]);
+        debt_before += debt_term(before, units[i], slo[i]);
+    }
+    require(k == changed.size(),
+            "full_change_lower: changed must be ascending and in range");
+    return total + penalty * debt <
+           total_before + penalty * debt_before;
 }
 
 } // namespace imc::placement

@@ -82,9 +82,13 @@ int slo_violations(const std::vector<double>& times,
  * An upper bound on sum |time_term| + |penalty| x sum |debt_term|
  * over every instance: the magnitude filter_change() scales its
  * rounding bound by. One O(instances) pass.
+ *
+ * This and the two functions below read each instance's unit count
+ * from the dense @p units (units[i] == instances[i].units), so their
+ * passes stay in two arrays of numbers.
  */
 double objective_magnitude(const std::vector<double>& times,
-                           const std::vector<Instance>& instances,
+                           const std::vector<int>& units,
                            const std::vector<double>& slo,
                            double penalty);
 
@@ -122,19 +126,23 @@ struct ChangeVerdict {
 ChangeVerdict filter_change(const std::vector<int>& changed,
                             const std::vector<double>& old_times,
                             const std::vector<double>& times,
-                            const std::vector<Instance>& instances,
+                            const std::vector<int>& units,
                             const std::vector<double>& slo,
                             double penalty, double magnitude);
 
 /**
  * The full-sum comparison filter_change() stands in for:
  * tail_objective(times) < tail_objective(times with @p changed put
- * back to @p old_times). O(instances).
+ * back to @p old_times), bit for bit. One pass and no copy: the
+ * prefix before the first changed instance is summed once, then the
+ * old and new total and debt sums run side by side.
+ *
+ * @throws ConfigError when @p changed is not ascending and in range
  */
 bool full_change_lower(const std::vector<int>& changed,
                        const std::vector<double>& old_times,
                        const std::vector<double>& times,
-                       const std::vector<Instance>& instances,
+                       const std::vector<int>& units,
                        const std::vector<double>& slo, double penalty);
 
 } // namespace imc::placement

@@ -10,7 +10,9 @@
  * solo at its catalog length and at twice that, and checks that the
  * extra events cost fewer than one allocation per 20 events. Set-up
  * allocations (tenants, procs, streams, vectors sized once) appear in
- * both runs and cancel out.
+ * both runs and cancel out. A timing span must likewise allocate
+ * nothing while observability is off: the scheduler opens two or
+ * three per event.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +20,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <new> // imc-lint: allow(banned-new-delete): header name
+#include <new>
 
+#include "common/obs.hpp"
 #include "workload/app.hpp"
 #include "workload/catalog.hpp"
 
@@ -155,4 +158,16 @@ TEST(AllocPerEvent, ServiceRequests)
     AppSpec twice = once;
     twice.serve.duration *= 2.0;
     expect_allocation_free_events(once, twice);
+}
+
+TEST(AllocDisabledObs, SpansWithLongNamesAllocateNothing)
+{
+    // Both names are past libstdc++'s 15-character inline string.
+    obs::set_enabled(false);
+    const std::uint64_t before = g_allocs.load();
+    for (int i = 0; i < 1000; ++i) {
+        IMC_OBS_SPAN(choose, "sched.event.choose");
+        IMC_OBS_SPAN(execute, "runservice.execute");
+    }
+    EXPECT_EQ(g_allocs.load() - before, 0u);
 }

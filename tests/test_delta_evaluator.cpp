@@ -183,18 +183,49 @@ check_scorer_walk(const Evaluator& eval, int sequences, int steps,
  */
 double
 reference_objective(const std::vector<double>& times,
-                    const std::vector<Instance>& instances,
+                    const std::vector<int>& units,
                     const std::vector<double>& slo, double penalty)
 {
     double total = 0.0;
     for (std::size_t i = 0; i < times.size(); ++i)
-        total += times[i] * instances[i].units;
+        total += times[i] * units[i];
     double debt = 0.0;
     for (std::size_t i = 0; i < times.size(); ++i) {
         if (slo[i] > 0.0 && times[i] > slo[i])
-            debt += instances[i].units * (times[i] - slo[i]);
+            debt += units[i] * (times[i] - slo[i]);
     }
     return total + penalty * debt;
+}
+
+/** One M.milc instance per entry of @p units, for tail_objective(). */
+std::vector<Instance>
+instances_of(const std::vector<int>& units)
+{
+    std::vector<Instance> out;
+    for (int u : units)
+        out.push_back(Instance{find_app("M.milc"), u});
+    return out;
+}
+
+/**
+ * A random polish state of @p n instances: 1-4 units each, times in
+ * [0.5, 4], and SLO targets near the times, so changes switch debt
+ * terms on and off; 30% of instances are best-effort.
+ */
+void
+random_state(std::size_t n, Rng& rng, std::vector<int>& units,
+             std::vector<double>& times, std::vector<double>& slo)
+{
+    units.clear();
+    times.clear();
+    slo.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        units.push_back(1 + static_cast<int>(rng.uniform_index(4)));
+        times.push_back(rng.uniform(0.5, 4.0));
+        slo.push_back(rng.bernoulli(0.3)
+                          ? 0.0
+                          : times.back() * rng.uniform(0.9, 1.1));
+    }
 }
 
 /** @p t moved @p steps ulps (negative: down). */
@@ -226,22 +257,20 @@ pick_distinct(std::size_t n, int want, Rng& rng)
  * whose times can trade places without moving either exact sum.
  */
 std::vector<int>
-pick_twins(const std::vector<Instance>& instances,
-           const std::vector<double>& slo, int want, bool best_effort,
-           Rng& rng)
+pick_twins(const std::vector<int>& units, const std::vector<double>& slo,
+           int want, bool best_effort, Rng& rng)
 {
     std::vector<int> picked;
     for (int probe = 0; probe < 400 && static_cast<int>(picked.size()) < want;
          ++probe) {
-        const auto i = static_cast<int>(rng.uniform_index(instances.size()));
+        const auto i = static_cast<int>(rng.uniform_index(units.size()));
         const auto ii = static_cast<std::size_t>(i);
         if (std::find(picked.begin(), picked.end(), i) != picked.end())
             continue;
         if (best_effort && slo[ii] > 0.0)
             continue;
         if (!picked.empty() &&
-            instances[ii].units !=
-                instances[static_cast<std::size_t>(picked[0])].units)
+            units[ii] != units[static_cast<std::size_t>(picked[0])])
             continue;
         picked.push_back(i);
     }
@@ -364,31 +393,19 @@ TEST(PolishFilter, CertainVerdictsMatchTheFullComparison)
 {
     Rng rng(20261017);
     const double penalty = 100.0;
-    const AppSpec& app = find_app("M.milc");
     int lower = 0;
     int not_lower = 0;
     int unsure = 0;
+    std::vector<int> units;
+    std::vector<double> times;
+    std::vector<double> slo;
     for (int trial = 0; trial < 40; ++trial) {
         const auto n = static_cast<std::size_t>(
             1 + rng.uniform_index(trial % 4 == 0 ? 5000 : 300));
-        std::vector<Instance> instances;
-        std::vector<double> times;
-        std::vector<double> slo;
-        for (std::size_t i = 0; i < n; ++i) {
-            instances.push_back(
-                Instance{app, 1 + static_cast<int>(rng.uniform_index(4))});
-            times.push_back(rng.uniform(0.5, 4.0));
-            // SLO targets sit near the times, so moves switch debt
-            // terms on and off; 30% of instances are best-effort.
-            slo.push_back(rng.bernoulli(0.3)
-                              ? 0.0
-                              : times.back() * rng.uniform(0.9, 1.1));
-        }
-        double magnitude =
-            objective_magnitude(times, instances, slo, penalty);
-        double current = reference_objective(times, instances, slo,
-                                             penalty);
-        ASSERT_EQ(tail_objective(times, instances, slo, penalty),
+        random_state(n, rng, units, times, slo);
+        double magnitude = objective_magnitude(times, units, slo, penalty);
+        double current = reference_objective(times, units, slo, penalty);
+        ASSERT_EQ(tail_objective(times, instances_of(units), slo, penalty),
                   current);
 
         for (int step = 0; step < 60; ++step) {
@@ -397,7 +414,7 @@ TEST(PolishFilter, CertainVerdictsMatchTheFullComparison)
             const auto mode = rng.uniform_index(4);
             const int count = 1 + static_cast<int>(rng.uniform_index(6));
             if (mode == 1 || mode == 3) {
-                changed = pick_twins(instances, slo, std::max(count, 2),
+                changed = pick_twins(units, slo, std::max(count, 2),
                                      mode == 1, rng);
                 if (changed.size() < 2)
                     continue;
@@ -454,10 +471,10 @@ TEST(PolishFilter, CertainVerdictsMatchTheFullComparison)
             }
 
             const ChangeVerdict v =
-                filter_change(sorted_changed, old_times, after,
-                              instances, slo, penalty, magnitude);
+                filter_change(sorted_changed, old_times, after, units,
+                              slo, penalty, magnitude);
             const double next =
-                reference_objective(after, instances, slo, penalty);
+                reference_objective(after, units, slo, penalty);
             const bool truth = next < current;
             if (v.change == Change::kLower) {
                 ++lower;
@@ -470,13 +487,13 @@ TEST(PolishFilter, CertainVerdictsMatchTheFullComparison)
                 ++unsure;
             }
             EXPECT_EQ(full_change_lower(sorted_changed, old_times, after,
-                                        instances, slo, penalty),
+                                        units, slo, penalty),
                       truth);
 
             // Rewriting the same times is never lower.
             const ChangeVerdict same =
-                filter_change(sorted_changed, old_times, times,
-                              instances, slo, penalty, magnitude);
+                filter_change(sorted_changed, old_times, times, units,
+                              slo, penalty, magnitude);
             EXPECT_EQ(same.change, Change::kNotLower);
 
             if (truth) {
@@ -489,4 +506,71 @@ TEST(PolishFilter, CertainVerdictsMatchTheFullComparison)
     EXPECT_GT(lower, 0);
     EXPECT_GT(not_lower, 0);
     EXPECT_GT(unsure, 0);
+}
+
+// full_change_lower() sums the prefix before the first changed
+// instance once and then runs both states' sums side by side. Its
+// edges: the first changed instance is index 0 (no shared prefix),
+// and the only changed instance is the last (no suffix after it).
+// Each must equal what tail_objective() says of the two states.
+TEST(PolishFilter, FullComparisonEdgesMatchTailObjective)
+{
+    Rng rng(20261019);
+    const double penalty = 100.0;
+    std::vector<int> units;
+    std::vector<double> times;
+    std::vector<double> slo;
+    int lower = 0;
+    int not_lower = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const auto n =
+            static_cast<std::size_t>(1 + rng.uniform_index(300));
+        random_state(n, rng, units, times, slo);
+        const std::vector<Instance> instances = instances_of(units);
+
+        std::vector<int> changed;
+        if (trial % 2 == 0) {
+            changed.push_back(0);
+            for (std::size_t i = 1; i < n; ++i)
+                if (rng.bernoulli(0.02))
+                    changed.push_back(static_cast<int>(i));
+        } else {
+            changed.push_back(static_cast<int>(n - 1));
+        }
+        // Half the changes are a few-ulp nudge, so the two objectives
+        // differ only in their last bits.
+        std::vector<double> old_times;
+        std::vector<double> after = times;
+        for (int i : changed) {
+            const auto ii = static_cast<std::size_t>(i);
+            old_times.push_back(times[ii]);
+            after[ii] =
+                rng.bernoulli(0.5)
+                    ? rng.uniform(0.5, 4.0)
+                    : nudge_ulps(times[ii],
+                                 rng.bernoulli(0.5) ? 2 : -2);
+        }
+        std::vector<double> before = after;
+        for (std::size_t k = 0; k < changed.size(); ++k)
+            before[static_cast<std::size_t>(changed[k])] = old_times[k];
+        const bool truth =
+            tail_objective(after, instances, slo, penalty) <
+            tail_objective(before, instances, slo, penalty);
+        (truth ? lower : not_lower) += 1;
+        EXPECT_EQ(full_change_lower(changed, old_times, after, units, slo,
+                                    penalty),
+                  truth)
+            << "trial " << trial << ", " << n << " instances";
+    }
+    EXPECT_GT(lower, 0);
+    EXPECT_GT(not_lower, 0);
+
+    // The changed list must be ascending and in range.
+    random_state(4, rng, units, times, slo);
+    EXPECT_THROW(full_change_lower({2, 1}, {1.0, 1.0}, times, units, slo,
+                                   penalty),
+                 ConfigError);
+    EXPECT_THROW(
+        full_change_lower({4}, {1.0}, times, units, slo, penalty),
+        ConfigError);
 }

@@ -116,8 +116,8 @@ TEST(ImcLintRules, NewDeleteFlagsNakedButNotDeletedFunctions)
 {
     const auto diags = lint_content("src/bad_new_delete.cpp",
                                     fixture("src/bad_new_delete.cpp"));
-    EXPECT_EQ(findings(diags), (Want{{"banned-new-delete", 5},
-                                     {"banned-new-delete", 6}}));
+    EXPECT_EQ(findings(diags), (Want{{"banned-new-delete", 7},
+                                     {"banned-new-delete", 8}}));
 }
 
 TEST(ImcLintRules, ConfigErrorNeedsContext)

@@ -718,6 +718,11 @@ rule_banned_new_delete(const FileContext& ctx,
     const Tokens& toks = ctx.lex.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
         if (is_ident(toks[i], "new")) {
+            // "#include <new>" names the header, not an expression.
+            if (i >= 3 && toks[i - 1].text == "<" &&
+                is_ident(toks[i - 2], "include") &&
+                toks[i - 3].text == "#")
+                continue;
             out.push_back({"banned-new-delete", ctx.path,
                            toks[i].line,
                            "naked 'new'; use std::make_unique / "
