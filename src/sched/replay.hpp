@@ -112,7 +112,9 @@ struct ReplayResult {
 };
 
 /**
- * Replay @p trace through a fresh SchedulerCore.
+ * Replay @p trace through a fresh SchedulerCore. Before it returns,
+ * the pages the core and the oracle freed go back to the OS, so a
+ * caller that replays repeatedly does not keep them resident.
  *
  * @param trace     parsed event stream
  * @param evaluator dynamic-capable evaluator tracking NO instances
