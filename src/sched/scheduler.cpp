@@ -19,8 +19,6 @@ SchedulerCore::SchedulerCore(placement::Evaluator& evaluator,
                                    num_nodes, slots_per_node)),
       opts_(opts), base_rng_(opts.seed),
       alive_(static_cast<std::size_t>(num_nodes), 1),
-      load_(static_cast<std::size_t>(num_nodes), 0),
-      free_slots_(num_nodes * slots_per_node),
       room_key_(static_cast<std::size_t>(num_nodes)),
       dirty_(static_cast<std::size_t>(num_nodes), 0)
 {
@@ -90,11 +88,8 @@ SchedulerCore::arrive(std::int64_t id, const workload::AppSpec& app,
     slo_.push_back(slo);
     units_.push_back(units);
     index_of_[id] = new_index;
-    for (sim::NodeId n : chosen) {
-        ++load_[static_cast<std::size_t>(n)];
+    for (sim::NodeId n : chosen)
         mark_dirty(n); // one tenant more
-    }
-    free_slots_ -= units;
 
     out.admitted = true;
     polish(chosen);
@@ -128,10 +123,8 @@ SchedulerCore::crash(sim::NodeId node)
     if (!alive_[static_cast<std::size_t>(node)])
         return out; // crash of an already-dead node: nothing to do
     alive_[static_cast<std::size_t>(node)] = 0;
-    free_slots_ -= scorer_.placement().slots_per_node() -
-                   load_[static_cast<std::size_t>(node)];
     mark_dirty(node); // leaves the room index
-    polish(repair_displaced(out));
+    polish(repair_displaced(node, out));
     return out;
 }
 
@@ -144,8 +137,6 @@ SchedulerCore::join(sim::NodeId node)
     if (alive_[static_cast<std::size_t>(node)])
         return false;
     alive_[static_cast<std::size_t>(node)] = 1;
-    free_slots_ += scorer_.placement().slots_per_node() -
-                   load_[static_cast<std::size_t>(node)];
     mark_dirty(node); // rejoins the room index
     // The polish may rebalance pressured units onto the fresh node.
     polish({node});
@@ -153,43 +144,35 @@ SchedulerCore::join(sim::NodeId node)
 }
 
 std::vector<sim::NodeId>
-SchedulerCore::repair_displaced(RepairOutcome& out)
+SchedulerCore::repair_displaced(sim::NodeId dead, RepairOutcome& out)
 {
     IMC_OBS_SPAN(span, "sched.event.repair");
     const placement::Placement& p = scorer_.placement();
     const int slots = p.slots_per_node();
     std::vector<std::int64_t> vetoed;
     std::vector<sim::NodeId> dests;
-    for (;;) {
-        // First displaced unit in (instance, unit) order. Rescanning
-        // after every move/eviction keeps the order stable under the
-        // swap-with-last renumbering evictions cause.
-        int di = -1;
-        int du = -1;
-        for (int i = 0; i < p.num_instances() && di < 0; ++i) {
-            const int units = units_[static_cast<std::size_t>(i)];
-            for (int u = 0; u < units; ++u) {
-                if (!alive_[static_cast<std::size_t>(p.node_of(i, u))]) {
-                    di = i;
-                    du = u;
-                    break;
-                }
-            }
-        }
-        if (di < 0)
-            break;
+    while (!scorer_.tenants_on(dead).empty()) {
+        // The lowest displaced instance, re-read after every move or
+        // eviction: the list stays ascending under the swap-with-last
+        // renumbering evictions cause. An instance holds one unit per
+        // node, so exactly one of its units is on the dead node.
+        const int di = scorer_.tenants_on(dead).front();
+        int du = 0;
+        while (p.node_of(di, du) != dead)
+            ++du;
 
         // Least-loaded live node with a free slot the instance does
         // not occupy; ascending scan + strict < ties to the lowest id.
         sim::NodeId best = -1;
+        int best_load = slots;
         for (sim::NodeId n = 0; n < p.num_nodes(); ++n) {
-            if (!alive_[static_cast<std::size_t>(n)] ||
-                load_[static_cast<std::size_t>(n)] >= slots ||
-                p.occupies(di, n))
+            if (!alive_[static_cast<std::size_t>(n)])
                 continue;
-            if (best < 0 || load_[static_cast<std::size_t>(n)] <
-                                load_[static_cast<std::size_t>(best)])
+            const int load = load_of(n);
+            if (load < best_load && !p.occupies(di, n)) {
                 best = n;
+                best_load = load;
+            }
         }
         if (best < 0) {
             // SLO-aware eviction: push best-effort work out to make
@@ -202,17 +185,13 @@ SchedulerCore::repair_displaced(RepairOutcome& out)
                 victim = di;
             out.evicted.push_back(ids_[static_cast<std::size_t>(victim)]);
             remove_index(victim);
-            continue; // indices renumbered: rescan from the top
+            continue; // indices renumbered: re-read the list
         }
 
-        const sim::NodeId from = p.node_of(di, du);
         scorer_.move_unit(di, du, best);
         // The dead source is out of the room index until its join
         // re-keys it, so only the destination needs a mark.
-        --load_[static_cast<std::size_t>(from)]; // dead: not a free slot
-        ++load_[static_cast<std::size_t>(best)];
         mark_dirty(best);
-        --free_slots_;
         ++out.moved_units;
         dests.push_back(best);
     }
@@ -233,12 +212,6 @@ SchedulerCore::id_at(int index) const
     return ids_.at(static_cast<std::size_t>(index));
 }
 
-double
-SchedulerCore::slo_at(int index) const
-{
-    return slo_.at(static_cast<std::size_t>(index));
-}
-
 int
 SchedulerCore::index_of(std::int64_t id) const
 {
@@ -255,20 +228,14 @@ SchedulerCore::node_alive(sim::NodeId node) const
 int
 SchedulerCore::load_of(sim::NodeId node) const
 {
-    return load_.at(static_cast<std::size_t>(node));
+    return static_cast<int>(scorer_.tenants_on(node).size());
 }
 
 void
 SchedulerCore::remove_index(int index)
 {
-    for (sim::NodeId n : scorer_.nodes_sorted(index)) {
-        --load_[static_cast<std::size_t>(n)];
-        // A victim evicted mid-repair may still hold a unit on a dead
-        // node; that unit's slot does not return to the live pool.
-        if (alive_[static_cast<std::size_t>(n)])
-            ++free_slots_;
+    for (sim::NodeId n : scorer_.nodes_sorted(index))
         mark_dirty(n); // one tenant fewer
-    }
     const std::size_t last = ids_.size() - 1;
     if (static_cast<std::size_t>(index) != last) {
         // The last instance is renumbered into `index`. It keeps its
@@ -374,8 +341,9 @@ SchedulerCore::refresh_room()
         const auto ni = static_cast<std::size_t>(n);
         dirty_[ni] = 0;
         RoomKey fresh; // out of the index
-        if (alive_[ni] && load_[ni] < slots)
-            fresh = {scorer_.newcomer_pressure(n), load_[ni], n};
+        const int load = load_of(n);
+        if (alive_[ni] && load < slots)
+            fresh = {scorer_.newcomer_pressure(n), load, n};
         RoomKey& key = room_key_[ni];
         if (fresh == key)
             continue;
@@ -555,15 +523,10 @@ SchedulerCore::polish(const std::vector<sim::NodeId>& dirty)
                 static_cast<sim::NodeId>(rng.uniform_index(
                     static_cast<std::uint64_t>(p.num_nodes())));
             if (to == from || !alive_[static_cast<std::size_t>(to)] ||
-                load_[static_cast<std::size_t>(to)] >= slots ||
-                p.occupies(a, to))
+                load_of(to) >= slots || p.occupies(a, to))
                 continue;
             scorer_.move_unit(a, ua, to);
             if (keep_if_lower()) {
-                --load_[static_cast<std::size_t>(from)];
-                ++load_[static_cast<std::size_t>(to)];
-                // from and to are both live here, so the free-slot
-                // total is unchanged.
                 mark_dirty(from);
                 mark_dirty(to);
             }

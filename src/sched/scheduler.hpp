@@ -181,37 +181,34 @@ class SchedulerCore {
     /** External id of instance index @p index. */
     std::int64_t id_at(int index) const;
 
-    /** SLO of instance index @p index (<= 0 = best-effort). */
-    double slo_at(int index) const;
-
     /** Instance index of @p id, or -1. */
     int index_of(std::int64_t id) const;
 
     /** True while @p node accepts units. */
     bool node_alive(sim::NodeId node) const;
 
-    /** Units currently assigned to @p node. */
+    /** Units currently assigned to @p node: its tenant count. */
     int load_of(sim::NodeId node) const;
-
-    /** Free slots summed over live nodes. */
-    int free_slots() const { return free_slots_; }
 
     /** Events processed so far (the polish stream index). */
     std::uint64_t events_seen() const { return event_seq_; }
 
   private:
     /**
-     * Move every unit on a dead node, in (instance, unit) order, to
-     * the least-loaded live node with a free slot that the instance
-     * does not occupy (ties to the lowest node id). When no such
-     * node exists, evict a best-effort app (if allowed and one is
-     * left unvetoed), else drop the displaced app itself; both land
-     * in @p out.evicted.
+     * Empty the just-crashed @p dead node one unit at a time: the
+     * first instance of its tenant list (ascending, so the lowest
+     * index) moves its unit there to the least-loaded live node with a
+     * free slot that the instance does not occupy (ties to the lowest
+     * node id). When no such node exists, evict a best-effort app (if
+     * allowed and one is left unvetoed), else drop the displaced app
+     * itself; both land in @p out.evicted. Every earlier crash was
+     * repaired in full, so no other dead node holds a unit.
      *
      * @return the destination node of every moved unit (the dirty
      *         set the polish wants)
      */
-    std::vector<sim::NodeId> repair_displaced(RepairOutcome& out);
+    std::vector<sim::NodeId> repair_displaced(sim::NodeId dead,
+                                              RepairOutcome& out);
 
     /** Remove instance @p index (swap-with-last bookkeeping). */
     void remove_index(int index);
@@ -279,8 +276,6 @@ class SchedulerCore {
     std::vector<int> units_;         // index -> unit count
     std::map<std::int64_t, int> index_of_;
     std::vector<char> alive_;        // node -> accepts units
-    std::vector<int> load_;          // node -> assigned units
-    int free_slots_ = 0;             // sum over live nodes
 
     /**
      * choose_nodes' ranking of a node with room: lowest newcomer

@@ -16,7 +16,6 @@ Simulation::Simulation(ClusterSpec spec) : spec_(std::move(spec))
     crashed_.assign(n, 0);
     node_tenants_.resize(n);
     node_procs_.resize(n);
-    node_dirty_.assign(n, 0);
 }
 
 EventId
@@ -39,7 +38,7 @@ Simulation::add_tenant(NodeId node, const TenantDemand& demand)
     tenant_slowdown_.push_back(1.0);
     tenant_demand_.push_back(demand);
     node_tenants_[static_cast<std::size_t>(node)].push_back(id);
-    refresh_node(node);
+    resolve_node(node);
     return id;
 }
 
@@ -58,7 +57,7 @@ Simulation::remove_tenant(TenantId t)
     auto& list = node_tenants_[static_cast<std::size_t>(node)];
     list.erase(std::find(list.begin(), list.end(), t));
     tenant_live_[ti] = 0;
-    refresh_node(node);
+    resolve_node(node);
 }
 
 void
@@ -68,7 +67,7 @@ Simulation::set_demand(TenantId t, const TenantDemand& demand)
     require(ti < tenant_node_.size(), "set_demand: no such tenant");
     invariant(tenant_live_[ti], "set_demand: tenant removed");
     tenant_demand_[ti] = demand;
-    refresh_node(tenant_node_[ti]);
+    resolve_node(tenant_node_[ti]);
 }
 
 double
@@ -179,29 +178,6 @@ Simulation::tenant_live(TenantId t) const
 }
 
 void
-Simulation::begin_resolve_batch()
-{
-    ++batch_depth_;
-}
-
-void
-Simulation::end_resolve_batch()
-{
-    invariant(batch_depth_ > 0,
-              "end_resolve_batch: no batch is open");
-    if (--batch_depth_ > 0)
-        return;
-    // Ascending node order: deterministic regardless of the mutation
-    // order that dirtied the set.
-    std::sort(dirty_nodes_.begin(), dirty_nodes_.end());
-    for (const NodeId node : dirty_nodes_) {
-        node_dirty_[static_cast<std::size_t>(node)] = 0;
-        resolve_node(node);
-    }
-    dirty_nodes_.clear();
-}
-
-void
 Simulation::refresh_all_nodes()
 {
     for (NodeId node = 0; node < spec_.num_nodes; ++node)
@@ -229,7 +205,7 @@ Simulation::crash_node(NodeId node)
     for (const TenantId t : list)
         tenant_live_[static_cast<std::size_t>(t)] = 0;
     list.clear();
-    refresh_node(node);
+    resolve_node(node);
 }
 
 bool
@@ -280,22 +256,6 @@ Simulation::step()
     if (ev.cb)
         ev.cb();
     return true;
-}
-
-void
-Simulation::refresh_node(NodeId node)
-{
-    if (batch_depth_ > 0) {
-        const auto ni = static_cast<std::size_t>(node);
-        if (!node_dirty_[ni]) {
-            node_dirty_[ni] = 1;
-            dirty_nodes_.push_back(node);
-        } else {
-            ++stats_.batched_resolves; // a coalesced re-solve
-        }
-        return;
-    }
-    resolve_node(node);
 }
 
 void
@@ -375,8 +335,6 @@ Simulation::approx_bytes() const
 {
     std::size_t bytes = queue_.approx_bytes() + solver_.approx_bytes();
     bytes += crashed_.capacity() * sizeof(char);
-    bytes += node_dirty_.capacity() * sizeof(char);
-    bytes += dirty_nodes_.capacity() * sizeof(NodeId);
     bytes += node_tenants_.capacity() * sizeof(node_tenants_[0]);
     for (const auto& v : node_tenants_)
         bytes += v.capacity() * sizeof(TenantId);

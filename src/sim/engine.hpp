@@ -24,12 +24,10 @@
  * one record, and its completion is a queue event tagged with its
  * ProcId that carries the caller's done callback. Per-node tenant and
  * proc index lists make each re-solve O(node population) instead of
- * O(cluster); the indexed event queue moves a re-rated completion in
- * place in O(log n); and a resolve *batch* (ResolveBatch) coalesces
- * many mutations into one re-solve per dirtied node.
- * tests/test_scale.cpp pins per-event traces of paper-shaped runs to
- * recorded digests and property-checks the shortcuts (full re-solve
- * == incremental, batched == eager).
+ * O(cluster); and the indexed event queue moves a re-rated completion
+ * in place in O(log n). tests/test_scale.cpp pins per-event traces of
+ * paper-shaped runs to recorded digests and property-checks the
+ * incremental re-solve against a full one.
  */
 
 #include <cstdint>
@@ -52,8 +50,6 @@ struct SimStats {
     std::uint64_t computes = 0;
     /** crash_node() events applied. */
     std::uint64_t node_crashes = 0;
-    /** Mutations whose re-solve a batch coalesced away. */
-    std::uint64_t batched_resolves = 0;
 };
 
 /**
@@ -141,32 +137,10 @@ class Simulation {
     /** True while a tenant is registered and its node is up. */
     bool tenant_live(TenantId t) const;
 
-    // --- Batched re-solves ---------------------------------------------
-
-    /**
-     * Open a resolve batch: until the matching end_resolve_batch(),
-     * tenant mutations only mark their node dirty, and the dirty set
-     * is re-solved once — in ascending node order — when the
-     * outermost batch closes. An event that touches many tenants of
-     * the same node then costs one re-solve instead of one per
-     * mutation. Batches nest.
-     *
-     * While a batch is open, tenant_slowdown() of a dirtied node is
-     * stale (the pre-mutation value); compute() reads the rate at
-     * call time, so computes issued inside a batch on a dirtied node
-     * should follow end_resolve_batch(). Final post-batch state is
-     * identical to eager per-mutation re-solves (tests/test_scale.cpp
-     * property-checks this).
-     */
-    void begin_resolve_batch();
-
-    /** Close a batch; the outermost close re-solves all dirty nodes. */
-    void end_resolve_batch();
-
     /**
      * Re-solve every node from scratch (full re-solve). A debug/test
      * hook: after any sequence of incremental re-solves this must not
-     * change any tenant's slowdown — the dirty-set invariant
+     * change any tenant's slowdown — the invariant
      * tests/test_scale.cpp locks in.
      */
     void refresh_all_nodes();
@@ -228,9 +202,6 @@ class Simulation {
         bool busy = false;
     };
 
-    /** Re-solve a node now, or mark it dirty inside a batch. */
-    void refresh_node(NodeId node);
-
     /** Re-solve a node's contention and re-rate its busy procs. */
     void resolve_node(NodeId node);
 
@@ -269,29 +240,6 @@ class Simulation {
     std::vector<TenantDemand> tenant_demand_;
 
     std::vector<Proc> procs_; // indexed by ProcId
-
-    // Dirty-set batching.
-    int batch_depth_ = 0;
-    std::vector<char> node_dirty_;
-    std::vector<NodeId> dirty_nodes_;
-};
-
-/**
- * RAII resolve batch: begin_resolve_batch() on construction,
- * end_resolve_batch() on destruction.
- */
-class ResolveBatch {
-  public:
-    explicit ResolveBatch(Simulation& sim) : sim_(sim)
-    {
-        sim_.begin_resolve_batch();
-    }
-    ~ResolveBatch() { sim_.end_resolve_batch(); }
-    ResolveBatch(const ResolveBatch&) = delete;
-    ResolveBatch& operator=(const ResolveBatch&) = delete;
-
-  private:
-    Simulation& sim_;
 };
 
 } // namespace imc::sim

@@ -77,9 +77,9 @@ RunningApp::detach()
         return;
     detached_ = true;
     halt_procs();
-    // Crashed nodes already killed their tenants; remove the rest in
-    // one resolve batch so co-runners see a single contention change.
-    const sim::ResolveBatch batch(sim_);
+    // Crashed nodes already killed their tenants; remove the rest.
+    // Each node holds one of them (launch rejects duplicate nodes), so
+    // co-runners on each node see a single contention change.
     for (sim::TenantId t : tenants_) {
         if (sim_.tenant_live(t))
             sim_.remove_tenant(t);

@@ -1,6 +1,5 @@
 #include "workload/run_service.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <utility>
@@ -250,25 +249,9 @@ RunService::Handle::ready() const
 }
 
 RunService::RunService(int threads)
-    : RunService([threads] {
-          RunServiceOptions opts;
-          opts.threads = threads;
-          return opts;
-      }())
 {
-}
-
-RunService::RunService(const RunServiceOptions& opts) : opts_(opts)
-{
-    require(opts_.threads >= 0, "RunService: negative thread count");
-    require(opts_.max_attempts >= 1,
-            "RunService: max_attempts must be >= 1");
-    require(opts_.timeout_ms > 0.0,
-            "RunService: timeout_ms must be > 0");
-    require(opts_.backoff_base_ms >= 0.0,
-            "RunService: backoff_base_ms must be >= 0");
-    opts_.threads = resolve_threads(opts_.threads);
-    threads_ = opts_.threads;
+    require(threads >= 0, "RunService: negative thread count");
+    threads_ = resolve_threads(threads);
     if (threads_ > 1) {
         workers_.reserve(static_cast<std::size_t>(threads_));
         for (int i = 0; i < threads_; ++i)
@@ -318,13 +301,16 @@ RunService::execute_with_faults(
         IMC_OBS_SPAN(span, "runservice.execute");
         return execute_request(req);
     }
-    const int attempts = opts_.max_attempts;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
+    // The retry policy the class comment documents.
+    constexpr int kAttempts = 3;
+    constexpr double kTimeoutMs = 20.0;
+    constexpr double kBackoffBaseMs = 1.0;
+    for (int attempt = 0; attempt < kAttempts; ++attempt) {
         const fault::Outcome injected = IMC_FAULT_PROBE(
             "run.exec", key, static_cast<std::uint64_t>(attempt));
         bool timed_out = false;
         if (injected.delay_ms > 0.0) {
-            if (injected.delay_ms >= opts_.timeout_ms) {
+            if (injected.delay_ms >= kTimeoutMs) {
                 // Straggler past the deadline: a timeout, retried
                 // WITHOUT serving the injected delay — a "hung"
                 // schedule cannot hang the service.
@@ -339,7 +325,7 @@ RunService::execute_with_faults(
             IMC_OBS_SPAN(span, "runservice.execute");
             return execute_request(req);
         }
-        const bool retrying = attempt + 1 < attempts;
+        const bool retrying = attempt + 1 < kAttempts;
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             if (timed_out)
@@ -357,18 +343,18 @@ RunService::execute_with_faults(
             else
                 IMC_OBS_COUNT("run.failed");
         }
-        if (retrying && opts_.backoff_base_ms > 0.0) {
+        if (retrying) {
             // Deterministic exponential backoff: base * 2^attempt ms.
             // Pure wall-clock pacing — it never feeds a value.
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(
-                    opts_.backoff_base_ms *
-                    static_cast<double>(1u << std::min(attempt, 20))));
+                    kBackoffBaseMs *
+                    static_cast<double>(1u << attempt)));
         }
     }
     throw MeasurementFailed(
         "RunService: measurement permanently failed after " +
-        std::to_string(attempts) + " attempts at site run.exec");
+        std::to_string(kAttempts) + " attempts at site run.exec");
 }
 
 void

@@ -31,6 +31,9 @@
  * Requests must never be submitted from inside a leaf run (the
  * orchestration layers — profilers, scorer, registry — all submit
  * from caller threads), so the pool cannot deadlock on itself.
+ *
+ * The worker count is the service's one setting; its retry policy
+ * under an armed fault schedule is fixed (see RunService).
  */
 
 #include <condition_variable>
@@ -105,37 +108,6 @@ std::string canonical_key(const RunRequest& req);
 double execute_request(const RunRequest& req);
 
 /**
- * Robustness knobs of a RunService. They only take effect while a
- * fault schedule is armed (imc::fault): real leaf runs are pure
- * in-process functions that cannot fail or straggle, so the unfaulted
- * fast path stays exactly the recorded-figure code path.
- */
-struct RunServiceOptions {
-    /** Worker count; 1 = inline serial execution, 0 = hardware. */
-    int threads = 0;
-    /**
-     * Attempts per request (>= 1) before the service gives up and
-     * caches a MeasurementFailed for the request. Each retry re-rolls
-     * the fault schedule at the next attempt ordinal, so the decision
-     * stays a pure function of (seed, site, key, attempt).
-     */
-    int max_attempts = 3;
-    /**
-     * Per-request deadline against injected straggler latency, in
-     * ms. An injected delay >= this counts as a timeout (retriable)
-     * WITHOUT serving the full delay, so a "hung" schedule cannot
-     * hang the service; smaller delays are actually slept.
-     */
-    double timeout_ms = 20.0;
-    /**
-     * Deterministic exponential backoff between attempts:
-     * base * 2^attempt ms (0 disables sleeping; the schedule itself
-     * is unaffected — backoff never feeds any measured value).
-     */
-    double backoff_base_ms = 1.0;
-};
-
-/**
  * Batched, parallel, cache-backed measurement backend.
  *
  * Thread-safe. With threads == 1 the service executes requests inline
@@ -144,11 +116,20 @@ struct RunServiceOptions {
  * worker pool and submit() only enqueues. Results are bit-identical
  * either way.
  *
- * Under an armed fault schedule the service retries injected
- * failures/timeouts per RunServiceOptions; a request that exhausts
- * its budget completes with MeasurementFailed, which single-flights
- * into the cache like any other result (every later submit of the
- * same key observes the same failure).
+ * Under an armed fault schedule (imc::fault) the service retries
+ * injected failures and timeouts with a fixed policy: 3 attempts per
+ * request, each re-rolling the schedule at the next attempt ordinal,
+ * so every decision is a pure function of (seed, site, key, attempt).
+ * An injected delay of 20 ms or more is a timeout, counted WITHOUT
+ * serving the delay, so a "hung" schedule cannot hang the service;
+ * shorter delays are slept. Attempt a waits 2^a ms before the next;
+ * that backoff is wall-clock pacing only and never feeds a value. A
+ * request that fails all 3 attempts completes with MeasurementFailed,
+ * which single-flights into the cache like any other result (every
+ * later submit of the same key observes the same failure). Real leaf
+ * runs are pure in-process functions that cannot fail or straggle, so
+ * with no schedule armed the service runs exactly the recorded-figure
+ * code path.
  */
 class RunService {
   public:
@@ -157,9 +138,6 @@ class RunService {
      *        0 = hardware concurrency
      */
     explicit RunService(int threads = 0);
-
-    /** Full-options constructor (retry/timeout/backoff knobs). */
-    explicit RunService(const RunServiceOptions& opts);
 
     ~RunService();
 
@@ -232,7 +210,6 @@ class RunService {
     void execute_into(const RunRequest& req, const std::string& key,
                       Handle::Entry& entry);
 
-    RunServiceOptions opts_;
     int threads_ = 1;
     mutable std::mutex mutex_; // guards cache_, queue_, stats, stop_
     std::condition_variable work_cv_;

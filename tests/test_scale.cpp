@@ -2,7 +2,7 @@
  * @file
  * The scale/equivalence suite locking the engine architecture
  * (DESIGN.md §7: indexed event queue, SoA state, node-local
- * re-solves, dirty-set batches) to recorded answers and properties:
+ * re-solves) to recorded answers and properties:
  *
  *  - recorded traces: the per-event trace — time, solve and
  *    reschedule counters at every step, printed as hexfloat — of
@@ -10,11 +10,8 @@
  *    fig08: a co-run against a restarting co-runner; a mid-run crash)
  *    must match the event count and digest recorded from the seed
  *    architecture (binary-heap queue, full proc scan per re-solve);
- *  - dirty-set property: after any incremental history, a full
+ *  - incremental property: after any incremental history, a full
  *    refresh_all_nodes() re-solve changes no tenant's slowdown;
- *  - batching property: a mutation burst inside a resolve batch ends
- *    in exactly the state eager per-mutation re-solves produce, with
- *    fewer solves;
  *  - 1k-node smoke: a seeded 1000-node churn run completes with no
  *    lost work units and conserved per-node pressure totals.
  */
@@ -162,7 +159,7 @@ TEST(ScaleProperty, FullRefreshIsNoOpAfterIncrementalHistory)
 {
     // Random add/remove/set_demand history, incrementally re-solved;
     // a from-scratch re-solve of every node must then change nothing
-    // (the dirty-set invariant: incremental == full).
+    // (incremental == full).
     Simulation sim(ClusterSpec::scaled(32));
     Rng rng(20260807);
     std::vector<TenantId> live;
@@ -196,80 +193,6 @@ TEST(ScaleProperty, FullRefreshIsNoOpAfterIncrementalHistory)
             << " drifted under a full re-solve";
 }
 
-TEST(ScaleProperty, BatchedResolveMatchesEagerExactly)
-{
-    // The same mutation burst applied to two simulations — one with
-    // eager per-mutation re-solves, one inside a resolve batch — must
-    // end in the identical per-tenant state with fewer solves.
-    constexpr int kNodes = 16;
-    constexpr int kMutations = 400;
-    Simulation eager(ClusterSpec::scaled(kNodes));
-    Simulation batched(ClusterSpec::scaled(kNodes));
-
-    auto mutate = [](Simulation& sim) {
-        Rng rng(555);
-        std::vector<TenantId> live;
-        for (int step = 0; step < kMutations; ++step) {
-            const auto kind = rng.uniform_index(10);
-            if (kind < 6 || live.size() < 4) {
-                const auto node = static_cast<NodeId>(
-                    rng.uniform_index(kNodes));
-                live.push_back(
-                    sim.add_tenant(node, jittered_demand(rng)));
-            } else {
-                const auto pick = rng.uniform_index(live.size());
-                sim.set_demand(live[pick], jittered_demand(rng));
-            }
-        }
-        return live;
-    };
-
-    const auto eager_live = mutate(eager);
-    std::vector<TenantId> batched_live;
-    {
-        ResolveBatch batch(batched);
-        batched_live = mutate(batched);
-        // Inside the batch nothing has been re-solved yet.
-        EXPECT_EQ(batched.stats().contention_solves, 0u);
-    }
-
-    ASSERT_EQ(eager_live.size(), batched_live.size());
-    for (std::size_t i = 0; i < eager_live.size(); ++i)
-        EXPECT_EQ(batched.tenant_slowdown(batched_live[i]),
-                  eager.tenant_slowdown(eager_live[i]))
-            << "tenant " << i << " diverged under batching";
-
-    // The batch coalesced the burst into at most one solve per node.
-    EXPECT_GT(batched.stats().batched_resolves, 0u);
-    EXPECT_LE(batched.stats().contention_solves,
-              static_cast<std::uint64_t>(kNodes));
-    EXPECT_GT(eager.stats().contention_solves,
-              batched.stats().contention_solves);
-}
-
-TEST(ScaleProperty, ResolveBatchesNest)
-{
-    Simulation sim(ClusterSpec::scaled(4));
-    sim.begin_resolve_batch();
-    Rng rng(99);
-    const TenantId a = sim.add_tenant(0, jittered_demand(rng));
-    sim.begin_resolve_batch();
-    const TenantId b = sim.add_tenant(0, jittered_demand(rng));
-    sim.end_resolve_batch();
-    // Inner close must not re-solve: the outer batch is still open.
-    EXPECT_EQ(sim.stats().contention_solves, 0u);
-    sim.end_resolve_batch();
-    EXPECT_EQ(sim.stats().contention_solves, 1u);
-
-    // Both tenants were solved together.
-    Simulation oracle(ClusterSpec::scaled(4));
-    Rng rng2(99);
-    const TenantId oa = oracle.add_tenant(0, jittered_demand(rng2));
-    const TenantId ob = oracle.add_tenant(0, jittered_demand(rng2));
-    EXPECT_EQ(sim.tenant_slowdown(a), oracle.tenant_slowdown(oa));
-    EXPECT_EQ(sim.tenant_slowdown(b), oracle.tenant_slowdown(ob));
-}
-
 TEST(ScaleSmoke, ThousandNodeChurnRunConservesWorkAndPressure)
 {
     // A seeded 1000-node churn run, tier-1 sized (~35k events): every
@@ -291,21 +214,16 @@ TEST(ScaleSmoke, ThousandNodeChurnRunConservesWorkAndPressure)
     std::vector<Tenant> tenants;
     int completed_chains = 0;
 
-    {
-        // Registration is a mutation burst per node: batch it.
-        ResolveBatch batch(sim);
-        for (int node = 0; node < kNodes; ++node) {
-            for (int k = 0; k < kTenantsPerNode; ++k) {
-                Tenant t;
-                t.rng = Rng(0xABCDEF ^
-                            (tenants.size() * 2654435761u));
-                const TenantDemand d = jittered_demand(t.rng);
-                t.id = sim.add_tenant(node, d);
-                t.proc = sim.add_proc(t.id);
-                t.left = kSegments;
-                t.gen_mb = d.gen_mb;
-                tenants.push_back(std::move(t));
-            }
+    for (int node = 0; node < kNodes; ++node) {
+        for (int k = 0; k < kTenantsPerNode; ++k) {
+            Tenant t;
+            t.rng = Rng(0xABCDEF ^ (tenants.size() * 2654435761u));
+            const TenantDemand d = jittered_demand(t.rng);
+            t.id = sim.add_tenant(node, d);
+            t.proc = sim.add_proc(t.id);
+            t.left = kSegments;
+            t.gen_mb = d.gen_mb;
+            tenants.push_back(std::move(t));
         }
     }
 

@@ -5,8 +5,8 @@
  * The load-bearing property: after EVERY event of a randomized trace,
  * the core's incrementally maintained state must equal a from-scratch
  * rebuild — predicted times bit-identical to a fresh evaluator's
- * predict() over the same placement, bookkeeping (loads, free slots,
- * id maps) consistent with a recount, and the placement valid, within
+ * predict() over the same placement, bookkeeping (loads, id maps)
+ * consistent with a recount, and the placement valid, within
  * capacity, and never touching a dead node. Plus: strict trace
  * parsing with an exact serialize round trip, SLO-aware admission and
  * eviction semantics, replay determinism, execute-mode attach/detach
@@ -95,6 +95,19 @@ parse_str(const std::string& text)
     return parse_trace(is);
 }
 
+/** Free slots summed over live nodes. */
+int
+free_slots(const SchedulerCore& core)
+{
+    const Placement& p = core.placement();
+    int free = 0;
+    for (sim::NodeId n = 0; n < p.num_nodes(); ++n) {
+        if (core.node_alive(n))
+            free += p.slots_per_node() - core.load_of(n);
+    }
+    return free;
+}
+
 void
 apply_event(SchedulerCore& core, const TraceEvent& e)
 {
@@ -117,7 +130,7 @@ apply_event(SchedulerCore& core, const TraceEvent& e)
 /**
  * Recount everything the core maintains incrementally and compare:
  * placement validity, per-node load within slots and off dead nodes,
- * load_of/free_slots bookkeeping, and the id<->index maps.
+ * load_of bookkeeping, and the id<->index maps.
  */
 void
 expect_invariants(const SchedulerCore& core, int num_nodes, int slots)
@@ -137,15 +150,11 @@ expect_invariants(const SchedulerCore& core, int num_nodes, int slots)
             ++load[static_cast<std::size_t>(n)];
         }
     }
-    int free = 0;
     for (int n = 0; n < num_nodes; ++n) {
         EXPECT_LE(load[static_cast<std::size_t>(n)], slots)
             << "node " << n << " over capacity";
         EXPECT_EQ(core.load_of(n), load[static_cast<std::size_t>(n)]);
-        if (core.node_alive(n))
-            free += slots - load[static_cast<std::size_t>(n)];
     }
-    EXPECT_EQ(core.free_slots(), free);
     for (int i = 0; i < core.num_apps(); ++i)
         EXPECT_EQ(core.index_of(core.id_at(i)), i);
 }
@@ -326,7 +335,7 @@ TEST(SchedCore, BestEffortArrivalsRespectCapacityWithoutEvicting)
 
     EXPECT_TRUE(core.arrive(1, gcc, 2, 0.0).admitted);
     EXPECT_TRUE(core.arrive(2, gcc, 2, 0.0).admitted);
-    EXPECT_EQ(core.free_slots(), 0);
+    EXPECT_EQ(free_slots(core), 0);
 
     // Full cluster: a best-effort arrival never evicts — rejected.
     const Admission adm = core.arrive(3, gcc, 1, 0.0);
@@ -392,7 +401,7 @@ TEST(SchedCore, DepartFreesCapacityAndUnknownIdsAreTolerated)
     EXPECT_TRUE(core.depart(1));
     EXPECT_FALSE(core.depart(1)); // already gone
     EXPECT_EQ(core.num_apps(), 0);
-    EXPECT_EQ(core.free_slots(), 2);
+    EXPECT_EQ(free_slots(core), 2);
     EXPECT_TRUE(core.arrive(2, gcc, 2, 0.0).admitted);
 }
 
@@ -462,7 +471,7 @@ TEST(SchedCore, CrashDropsDisplacedAppWhenNothingCanMakeRoom)
         EXPECT_EQ(out.moved_units, 0);
         EXPECT_EQ(out.evicted, (std::vector<std::int64_t>{1}));
         EXPECT_EQ(core.num_apps(), 0);
-        EXPECT_EQ(core.free_slots(), 1);
+        EXPECT_EQ(free_slots(core), 1);
         expect_invariants(core, 2, 1);
     }
     {
@@ -481,7 +490,7 @@ TEST(SchedCore, CrashDropsDisplacedAppWhenNothingCanMakeRoom)
         EXPECT_EQ(out.evicted, (std::vector<std::int64_t>{2}));
         EXPECT_EQ(core.num_apps(), 2);
         EXPECT_EQ(core.index_of(2), -1);
-        EXPECT_EQ(core.free_slots(), 0);
+        EXPECT_EQ(free_slots(core), 0);
         expect_invariants(core, 3, 1);
         expect_matches_rebuild(core);
     }
@@ -720,7 +729,7 @@ TEST(FaultSched, AdmitFaultRejectsArrivalsDeterministically)
     EXPECT_FALSE(adm.admitted);
     EXPECT_TRUE(adm.fault_rejected);
     EXPECT_EQ(core.num_apps(), 0);
-    EXPECT_EQ(core.free_slots(), 8);
+    EXPECT_EQ(free_slots(core), 8);
 }
 
 TEST(FaultSched, EvictFaultVetoesVictimsLeavingThemPlaced)
